@@ -12,12 +12,13 @@
 //! | `wide-avx2` | pin dispatch to the AVX2 kernels (requires a CPU with AVX2) |
 //! | `wide-avx512f` | pin dispatch to the AVX-512F kernels (requires a CPU with AVX-512F) |
 //!
-//! Forcing a wide kernel the build (`--features wide-lanes`) or the
-//! CPU cannot run falls back to the normal runtime probe — the
-//! override can never select an unsupported instruction set, so it is
-//! never unsound. The resolved choice is visible through
-//! [`crate::bank::kernel_name`] and [`crate::noise::kernel_name`].
-//! The variable is read once per process and cached.
+//! Forcing a wide kernel the CPU cannot run falls back to the normal
+//! runtime probe — the override can never select an unsupported
+//! instruction set, so it is never unsound. The resolved choice is
+//! visible through [`crate::bank::kernel_name`] and
+//! [`crate::noise::kernel_name`]. The variable is read once per process
+//! and cached. Off x86-64 there are only the portable bodies, and this
+//! module is not compiled.
 
 use std::sync::OnceLock;
 

@@ -29,14 +29,14 @@
 //! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ
 //! * [`bank`] — structure-of-arrays lane bank stepping K modulators per
 //!   clock (bit-identical to the scalar path, which stays the oracle)
-//! * [`tile`] — the fixed-width lane tiles and wide/scalar per-clock
-//!   kernels the bank executes on (`wide-lanes` feature selects the
-//!   explicit wide-ops body)
+//! * [`tile`] — the fixed-width lane tiles the bank executes on, and
+//!   the one loop-filter clock the modulator, the bank's tail lanes and
+//!   its runtime-dispatched SIMD tile kernels all run
 //! * [`mux`] — the 2:1 row/column multiplexers with settling transients
 //! * [`noise`] — seeded Gaussian noise sources and kT/C helpers; the
 //!   lockstep tile fill dispatches to an explicit-SIMD `noise_wide`
 //!   kernel (4/8 xoshiro streams per register, in-register ziggurat
-//!   accept) under `wide-lanes` on x86-64
+//!   accept) on x86-64
 //! * [`power`] — supply/clock-scaled power model anchored at the measured
 //!   11.5 mW @ 5 V, 128 kHz
 //! * [`nonideal`] — aggregated non-ideality configuration
@@ -72,9 +72,9 @@ pub mod quantizer;
 pub mod tile;
 
 mod error;
-#[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod kernel;
-#[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod noise_wide;
 
 pub use error::AnalogError;

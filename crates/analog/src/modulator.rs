@@ -24,9 +24,10 @@ use tonos_dsp::bits::PackedBits;
 
 use crate::dac::FeedbackDac;
 use crate::integrator::ScIntegrator;
-use crate::noise::NoiseSource;
+use crate::noise::{ziggurat_xs, NoiseSource};
 use crate::nonideal::NonIdealities;
 use crate::quantizer::Comparator;
+use crate::tile::{step_lane, Consts, Rows};
 use crate::AnalogError;
 
 /// The paper's modulator clock rate in Hz.
@@ -78,8 +79,7 @@ pub trait DeltaSigmaModulator {
     /// `tonos_dsp::decimator::TwoStageDecimator::process_packed`.
     fn process_packed(&mut self, input: &[f64]) -> PackedBits {
         let mut bits = PackedBits::with_capacity(input.len());
-        let mut noise = Vec::new();
-        self.step_block(input, &mut noise, &mut bits);
+        self.step_block(input, &mut bits);
         bits
     }
 
@@ -91,20 +91,16 @@ pub trait DeltaSigmaModulator {
         }
     }
 
-    /// Block conversion into caller-owned scratch — the allocation-free
-    /// hot path. `noise` is a reusable buffer implementations may fill
-    /// with per-block pre-drawn noisy inputs (its contents on return are
-    /// unspecified); `bits` receives the packed output (appended, not
-    /// cleared).
+    /// Block conversion — the allocation-free hot path. `bits` receives
+    /// the packed output (appended, not cleared).
     ///
     /// **Bit-identical** to calling [`DeltaSigmaModulator::step`] per
     /// sample: implementations may reorder *independent* noise-stream
-    /// draws across the block, but every stream is consumed in the same
+    /// draws within a clock, but every stream is consumed in the same
     /// per-sample order, so the emitted bits and the final modulator
     /// state are exactly those of the scalar path. The default simply
     /// forwards to [`DeltaSigmaModulator::process_packed_into`].
-    fn step_block(&mut self, input: &[f64], noise: &mut Vec<f64>, bits: &mut PackedBits) {
-        let _ = noise;
+    fn step_block(&mut self, input: &[f64], bits: &mut PackedBits) {
         self.process_packed_into(input, bits);
     }
 }
@@ -324,46 +320,71 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         2
     }
 
-    /// Two-pass block conversion, bit-identical to the per-sample path.
+    /// Single-pass block conversion, bit-identical to the per-sample
+    /// path.
     ///
-    /// Pass 1 pre-draws the sampled-input impairments (kT/C noise and
-    /// jitter error) into `noise`; pass 2 runs the loop filter over the
-    /// noisy inputs and packs the bits a word at a time. The reordering
-    /// is sound because every component owns an *independent* split
-    /// noise stream: the input-noise stream is consumed in the same
-    /// per-sample order in pass 1 as `step` consumes it, and the
-    /// integrator/DAC streams are consumed in the same order in pass 2 —
-    /// so all draws, bits, and final state match the scalar path exactly
-    /// (asserted in this module's tests).
-    fn step_block(&mut self, input: &[f64], noise: &mut Vec<f64>, bits: &mut PackedBits) {
-        noise.clear();
-        noise.reserve(input.len());
-        let sigma = self.nonideal.input_noise_sigma;
-        let slew_gain = self.nonideal.jitter_slew_gain;
-        for &x in input {
-            let jitter = slew_gain * (x - self.prev_input);
-            self.prev_input = x;
-            noise.push(
-                x + self.input_noise.gaussian(sigma) + self.input_noise.gaussian(jitter.abs()),
-            );
-        }
+    /// Each clock draws its noise inline and steps the loop filter
+    /// through the shared `step_lane`, packing bits a word at a time.
+    /// The ziggurat table is resolved once per block, and the five split
+    /// noise streams and the loop state are held in locals for the whole
+    /// block (the rare rejection path is out of line and takes its
+    /// stream by value, so nothing escapes the registers). Every stream
+    /// is independent and consumed in exactly the order `step` consumes
+    /// it, so all draws, bits, and the final state match the scalar
+    /// path (proptested in this module's tests).
+    fn step_block(&mut self, input: &[f64], bits: &mut PackedBits) {
+        let xs = ziggurat_xs();
         let Coefficients { b1, a1, c1, a2 } = self.coeffs;
+        // Both stages share one pole and clamp: they are built from the
+        // same `NonIdealities` (the lane bank relies on this too).
+        let consts = Consts {
+            leak: self.int1.leak,
+            sat: self.int1.saturation,
+            off: self.comparator.offset,
+            hyst: self.comparator.hysteresis,
+            mis: self.dac.level_mismatch,
+            isi: self.dac.isi,
+            b1,
+            a1,
+            c1,
+            a2,
+        };
+        let sigma_in = self.nonideal.input_noise_sigma;
+        let slew_gain = self.nonideal.jitter_slew_gain;
+        let (sigma1, sigma2) = (self.int1.noise_sigma, self.int2.noise_sigma);
+        let (sigma_c, sigma_r) = (self.comparator.noise_sigma, self.dac.reference_noise_sigma);
+        let mut n_in = self.input_noise.clone();
+        let mut n1 = self.int1.noise.clone();
+        let mut n2 = self.int2.noise.clone();
+        let mut nc = self.comparator.noise.clone();
+        let mut nd = self.dac.noise.clone();
+        let (mut x1, mut x2) = (self.int1.state, self.int2.state);
+        let mut comp_pos = self.comparator.last > 0;
+        let mut dac_pos = self.dac.last_bit > 0;
+        let mut prev = self.prev_input;
+        let (mut sat1, mut sat2) = (self.int1.saturated, self.int2.saturated);
+        let mut saturations = 0u64;
         let mut word = 0u64;
         let mut filled = 0usize;
-        let mut saturations = 0u64;
-        for &u in noise.iter() {
-            let v = self.comparator.decide(self.int2.state());
-            let vf = self.dac.convert(v);
-            let x1_old = self.int1.state();
-            self.int1.update(b1 * u - a1 * vf);
-            self.int2.update(c1 * x1_old - a2 * vf);
-            if self.int1.is_saturated() || self.int2.is_saturated() {
-                saturations += 1;
-            }
-            self.last_bit = v;
-            if v > 0 {
-                word |= 1 << filled;
-            }
+        for &x in input {
+            // Sampled-input impairments, then the comparator, DAC and
+            // integrator draws — each stream in `step`'s order.
+            let jitter = slew_gain * (x - prev);
+            prev = x;
+            let u = x + n_in.gaussian_inline(xs, sigma_in) + n_in.gaussian_inline(xs, jitter.abs());
+            let rows = Rows {
+                u,
+                zc: nc.gaussian_inline(xs, sigma_c),
+                zr: nd.gaussian_inline(xs, sigma_r),
+                z1: n1.gaussian_inline(xs, sigma1),
+                z2: n2.gaussian_inline(xs, sigma2),
+            };
+            let (vpos, s1, s2) = step_lane(&mut x1, &mut x2, &consts, &rows, comp_pos, dac_pos);
+            comp_pos = vpos;
+            dac_pos = vpos;
+            (sat1, sat2) = (s1, s2);
+            saturations += u64::from(s1 || s2);
+            word |= u64::from(vpos) << filled;
             filled += 1;
             if filled == 64 {
                 bits.push_bits(word, 64);
@@ -372,6 +393,18 @@ impl DeltaSigmaModulator for SigmaDelta2 {
             }
         }
         bits.push_bits(word, filled);
+        let last = if comp_pos { 1 } else { -1 };
+        self.last_bit = last;
+        self.comparator.last = last;
+        self.dac.last_bit = if dac_pos { 1 } else { -1 };
+        (self.int1.state, self.int2.state) = (x1, x2);
+        (self.int1.saturated, self.int2.saturated) = (sat1, sat2);
+        self.prev_input = prev;
+        self.input_noise = n_in;
+        self.int1.noise = n1;
+        self.int2.noise = n2;
+        self.comparator.noise = nc;
+        self.dac.noise = nd;
         self.saturation_events += saturations;
         self.steps += input.len() as u64;
     }
@@ -456,6 +489,7 @@ impl DeltaSigmaModulator for SigmaDelta1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tonos_dsp::decimator::DecimatorConfig;
     use tonos_dsp::metrics::DynamicMetrics;
     use tonos_dsp::signal::sine_wave;
@@ -691,30 +725,158 @@ mod tests {
         );
     }
 
-    #[test]
-    fn step_block_is_bit_identical_to_per_sample_steps() {
-        // The block path reorders only independent noise streams, so the
-        // bits must match the scalar path exactly — under full typical
-        // non-idealities (all noise sources active), across multiple
-        // blocks of word-unaligned lengths, with identical state left
-        // behind (checked by continuing both modulators afterwards).
-        let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 90.0, 0.7, 0.0, 2048 + 77);
-        let mut scalar = SigmaDelta2::new(NonIdealities::typical().with_seed(41)).unwrap();
-        let mut block = SigmaDelta2::new(NonIdealities::typical().with_seed(41)).unwrap();
-        let mut noise = Vec::new();
-        let mut got = PackedBits::new();
-        // Word-unaligned split points exercise the packed splice too.
-        for chunk in stim.chunks(129) {
-            block.step_block(chunk, &mut noise, &mut got);
+    /// SplitMix64 case generator for the lane proptest: one seed per
+    /// case spans the modulator, the inputs, and the conversion script.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
-        let expect = PackedBits::from_bitstream(&scalar.process(&stim));
-        assert_eq!(got, expect);
-        assert_eq!(block.steps(), scalar.steps());
-        assert_eq!(block.saturation_events(), scalar.saturation_events());
-        // Continue per-sample on both: any hidden state divergence
-        // (integrators, RNG positions, prev_input) would show up here.
-        let tail = sine_wave(PAPER_SAMPLE_RATE_HZ, 90.0, 0.7, 0.3, 512);
-        assert_eq!(scalar.process(&tail), block.process(&tail));
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+
+        /// Zero half the time: that noise stream is never drawn.
+        fn sigma(&mut self) -> f64 {
+            if self.next() & 1 == 0 {
+                0.0
+            } else {
+                self.range(1e-5, 2e-2)
+            }
+        }
+
+        /// A modulator with random non-idealities, each of its five
+        /// noise streams independently silent or drawing (`new` ties
+        /// the second integrator's noise to the input's and keeps the
+        /// first integrator and the comparator silent, so those three
+        /// are set directly).
+        fn modulator(&mut self) -> SigmaDelta2 {
+            let ni = NonIdealities {
+                opamp_dc_gain: if self.next() & 1 == 0 {
+                    f64::INFINITY
+                } else {
+                    self.range(20.0, 1e5)
+                },
+                integrator_saturation: self.range(0.3, 6.0),
+                input_noise_sigma: self.sigma(),
+                comparator_offset: self.range(-0.05, 0.05),
+                comparator_hysteresis: self.range(0.0, 0.05),
+                jitter_slew_gain: if self.next() & 1 == 0 {
+                    0.0
+                } else {
+                    self.range(1e-6, 0.3)
+                },
+                dac_level_mismatch: self.range(-0.2, 0.2),
+                dac_isi: self.range(0.0, 0.2),
+                reference_noise_sigma: self.sigma(),
+                seed: self.next(),
+            };
+            let mut m = SigmaDelta2::new(ni).unwrap();
+            m.int1.noise_sigma = self.sigma();
+            m.int2.noise_sigma = self.sigma();
+            m.comparator.noise_sigma = self.sigma();
+            m
+        }
+
+        /// A run of inputs: held constant, or a new value every clock.
+        /// Both reach past full scale, so small saturation limits
+        /// overload.
+        fn inputs(&mut self, len: usize) -> Vec<f64> {
+            if self.next() & 1 == 0 {
+                vec![self.range(-1.6, 1.6); len]
+            } else {
+                (0..len).map(|_| self.range(-1.6, 1.6)).collect()
+            }
+        }
+
+        /// A block length: the packing-word edges, or anything up to
+        /// 300 clocks.
+        fn block_len(&mut self) -> usize {
+            match self.below(6) {
+                0 => 0,
+                1 => 1,
+                2 => 63,
+                3 => 64,
+                4 => 65,
+                _ => self.below(300),
+            }
+        }
+    }
+
+    /// The five split noise streams.
+    fn streams(m: &mut SigmaDelta2) -> [&mut NoiseSource; 5] {
+        [
+            &mut m.input_noise,
+            &mut m.int1.noise,
+            &mut m.int2.noise,
+            &mut m.comparator.noise,
+            &mut m.dac.noise,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fused block stepper against per-sample `step`, the
+        /// oracle: random non-idealities with every noise stream silent
+        /// or drawing, constant and per-clock inputs reaching
+        /// saturation, block lengths around the 64-bit packing word,
+        /// per-sample steps interleaved, and resets mid-stream. Bits,
+        /// counters, the whole final state, and each stream's next
+        /// draws must match.
+        #[test]
+        fn step_block_is_bit_identical_to_per_sample_steps(case in any::<u64>()) {
+            let mut g = Gen(case);
+            let mut scalar = g.modulator();
+            let mut block = scalar.clone();
+            let mut want = Vec::new();
+            let mut got = PackedBits::new();
+            for _ in 0..1 + g.below(8) {
+                match g.below(7) {
+                    // Per-sample steps interleaved between blocks.
+                    0 | 1 => {
+                        let len = 1 + g.below(80);
+                        for x in g.inputs(len) {
+                            want.push(scalar.step(x));
+                            got.push(block.step(x) > 0);
+                        }
+                    }
+                    2 => {
+                        scalar.reset();
+                        block.reset();
+                    }
+                    _ => {
+                        let len = g.block_len();
+                        let xs = g.inputs(len);
+                        want.extend(xs.iter().map(|&x| scalar.step(x)));
+                        block.step_block(&xs, &mut got);
+                    }
+                }
+            }
+            prop_assert_eq!(&got, &PackedBits::from_bitstream(&want));
+            prop_assert_eq!(block.steps(), scalar.steps());
+            prop_assert_eq!(block.saturation_events(), scalar.saturation_events());
+            // Every field: integrator states and saturation flags,
+            // histories, the previous input, counters, and each
+            // stream's generator state.
+            prop_assert_eq!(format!("{block:?}"), format!("{scalar:?}"));
+            for (a, b) in streams(&mut block).into_iter().zip(streams(&mut scalar)) {
+                for _ in 0..4 {
+                    prop_assert_eq!(a.standard().to_bits(), b.standard().to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -738,7 +900,7 @@ mod tests {
         let mut d1a = SigmaDelta1::new(NonIdealities::typical().with_seed(3)).unwrap();
         let mut d1b = SigmaDelta1::new(NonIdealities::typical().with_seed(3)).unwrap();
         let mut bits = PackedBits::new();
-        d1b.step_block(&stim, &mut Vec::new(), &mut bits);
+        d1b.step_block(&stim, &mut bits);
         assert_eq!(bits, PackedBits::from_bitstream(&d1a.process(&stim)));
     }
 

@@ -76,7 +76,7 @@ fn ziggurat_tables() -> &'static ([f64; ZIGGURAT_LAYERS + 1], [f64; ZIGGURAT_LAY
 /// the ChaCha-class generator it replaced; see `BENCH_hotpath.json`).
 /// Statistical quality (passes BigCrush) is far beyond what a noise
 /// model needs, and streams stay fully determined by their seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Xoshiro256 {
     s: [u64; 4],
 }
@@ -295,7 +295,7 @@ impl NoiseSource {
         let (xs, _) = tables;
         let mut chunks = out.chunks_exact_mut(4);
         for chunk in &mut chunks {
-            let rolled_back = self.rng.clone();
+            let rolled_back = self.rng;
             let mut accept = true;
             for slot in chunk.iter_mut() {
                 let bits = self.rng.next_u64();
@@ -346,11 +346,48 @@ impl NoiseSource {
         self.standard() * sigma
     }
 
+    /// [`NoiseSource::gaussian`] for fused block kernels that hold the
+    /// stream in a local: the ziggurat boundary table comes pre-resolved
+    /// ([`ziggurat_xs`], once per block), the accept-without-density hot
+    /// path is inlined, and the rare layer-edge / tail continuation
+    /// stays out of line ([`finish_cold`]) and passes the generator by
+    /// value, so the caller's copy never escapes its registers. The
+    /// draws are word-for-word those of [`NoiseSource::gaussian`].
+    #[inline(always)]
+    pub(crate) fn gaussian_inline(&mut self, xs: &[f64; ZIGGURAT_LAYERS + 1], sigma: f64) -> f64 {
+        if sigma == 0.0 {
+            return 0.0;
+        }
+        let bits = self.rng.next_u64();
+        let (z, accepted) = speculate(bits, xs);
+        let z = if accepted {
+            z
+        } else {
+            let (rng, z) = finish_cold(self.rng, bits);
+            self.rng = rng;
+            z
+        };
+        z * sigma
+    }
+
     /// Derives an independent child source (splitting streams for the two
     /// integrators, the comparator, etc.).
     pub fn split(&mut self) -> NoiseSource {
         NoiseSource::from_seed(self.rng.next_u64())
     }
+}
+
+/// The rejection continuation of [`NoiseSource::gaussian_inline`]: a
+/// draw whose first word missed the speculative accept, finished through
+/// the exact per-draw path on a by-value generator (the twin of
+/// [`replay_slot`], which the lockstep rows and wide kernels call on
+/// their state words in place).
+#[cold]
+#[inline(never)]
+fn finish_cold(rng: Xoshiro256, bits: u64) -> (Xoshiro256, f64) {
+    let mut src = NoiseSource { rng };
+    let z = src.finish_standard(ziggurat_tables(), bits);
+    (src.rng, z)
 }
 
 /// Lockstep multi-stream ziggurat fill: K independent [`NoiseSource`]
@@ -361,13 +398,13 @@ impl NoiseSource {
 /// how they are batched. Holding K streams' state words in
 /// structure-of-arrays form and stepping all K per clock turns that
 /// latency into throughput: the K chains interleave in the pipeline and
-/// the pure-integer generator loop autovectorizes. Under `--features
-/// wide-lanes` on x86-64 the fill goes further: an explicit-SIMD kernel
-/// (`noise_wide`, picked at runtime like the tile kernels — see
-/// [`kernel_name`]) steps 4 (AVX2) or 8 (AVX-512F) streams per vector
-/// register and performs the speculative ziggurat accept branchlessly
-/// in-register, with rejections collected as a lane mask and replayed
-/// through the exact scalar path. This is the noise engine behind the
+/// the pure-integer generator loop autovectorizes. On x86-64 the fill
+/// goes further: an explicit-SIMD kernel (`noise_wide`, picked at
+/// runtime like the tile kernels — see [`kernel_name`]) steps 4 (AVX2)
+/// or 8 (AVX-512F) streams per vector register and performs the
+/// speculative ziggurat accept branchlessly in-register, with
+/// rejections collected as a lane mask and replayed through the exact
+/// scalar path. This is the noise engine behind the
 /// lane bank's clock-major tiles.
 ///
 /// Each stream's draw *sequence* stays bit-identical to scalar
@@ -418,12 +455,11 @@ impl LockstepFill {
 
     /// Fills a clock-major tile with scaled draws:
     /// `out[n*k + j] = stream_j.standard() * sigmas[j]` for each clock
-    /// `n` — the lane bank's pre-multiplied noise tiles.
+    /// `n` — the lane bank's pre-multiplied noise rows.
     ///
-    /// Dispatches to the explicit-SIMD wide kernel when the build
-    /// (`--features wide-lanes`) and the host CPU support one (see
-    /// [`kernel_name`]); the portable lockstep rows otherwise. Either
-    /// path is bit-identical.
+    /// Dispatches to the explicit-SIMD wide kernel when the host CPU
+    /// supports one (see [`kernel_name`]); the portable lockstep rows
+    /// otherwise. Either path is bit-identical.
     pub fn fill_scaled(&mut self, sigmas: &[f64], clocks: usize, out: &mut [f64]) {
         self.fill_dispatch(Epilogue::Scaled { sigmas }, clocks, out);
     }
@@ -475,7 +511,7 @@ impl LockstepFill {
 
     /// Runs the explicit-SIMD kernel over the leading full vector
     /// groups, returning the number of lanes it handled.
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     fn fill_wide(&mut self, ep: Epilogue<'_>, clocks: usize, out: &mut [f64]) -> usize {
         let Some(isa) = crate::noise_wide::active() else {
             return 0;
@@ -494,9 +530,9 @@ impl LockstepFill {
         )
     }
 
-    /// Without `wide-lanes` (or off x86-64) there is no wide kernel:
-    /// every lane goes through the portable rows.
-    #[cfg(not(all(feature = "wide-lanes", target_arch = "x86_64")))]
+    /// Off x86-64 there is no wide kernel: every lane goes through the
+    /// portable rows.
+    #[cfg(not(target_arch = "x86_64"))]
     fn fill_wide(&mut self, _ep: Epilogue<'_>, _clocks: usize, _out: &mut [f64]) -> usize {
         0
     }
@@ -566,12 +602,12 @@ impl LockstepFill {
 }
 
 /// The lockstep-fill kernel this build+host actually runs — benchmarks
-/// record it next to their ns/draw numbers. `"scalar-lockstep"`
-/// without `wide-lanes` (or when no wide ISA is available, or when
-/// `TONOS_FORCE_KERNEL=scalar-tile` pins the portable bodies);
-/// `"wide-avx2"` / `"wide-avx512f"` by runtime CPU detection with it.
+/// record it next to their ns/draw numbers. `"wide-avx2"` /
+/// `"wide-avx512f"` by runtime CPU detection on x86-64;
+/// `"scalar-lockstep"` elsewhere, when no wide ISA is available, or when
+/// `TONOS_FORCE_KERNEL=scalar-tile` pins the portable bodies.
 pub fn kernel_name() -> &'static str {
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         use crate::noise_wide::WideIsa;
         if let Some(isa) = crate::noise_wide::active() {

@@ -1,5 +1,5 @@
 //! The **wide noise plane**: explicit-SIMD lockstep ziggurat fill for
-//! the lane bank (`--features wide-lanes`, x86-64 only).
+//! the lane bank (x86-64, picked by runtime CPU detection).
 //!
 //! The portable [`LockstepFill`](crate::noise::LockstepFill) rows are
 //! already structure-of-arrays — K xoshiro256++ streams side by side —

@@ -1,36 +1,35 @@
-//! Fixed-width lane **tiles**: the data layout and per-clock kernels
+//! Fixed-width lane **tiles**: the data layout and the per-clock kernel
 //! behind the bank's tiled execution (see [`crate::bank`]).
 //!
 //! A tile is [`TILE`] (= 8) f64 lanes in one cache-line-aligned row
 //! ([`F64Tile`]). The bank stores every kernel-touched state and
 //! coefficient row as a sequence of tiles and steps full tiles with
-//! `step_tile`, which exists in two bit-identical bodies:
+//! `step_tile`: eight independent `step_lane` clocks in lane order,
+//! with the comparator and DAC histories carried as packed `u8` lane
+//! masks.
 //!
-//! * the **portable scalar tile loop** (always compiled — the oracle
-//!   and the default), eight `step_lane` calls in lane order; and
-//! * the **explicit wide-ops kernel** behind the `wide-lanes` cargo
-//!   feature: straight-line `core::simd`-style passes over whole tiles
-//!   (splat / blend / lane-mask compares / sign-bit selects), with the
-//!   comparator and DAC histories carried as packed `u8` lane masks so
-//!   quantize/feedback is mask arithmetic, not per-lane branches.
-//!
-//! Both bodies evaluate every floating-point expression with the exact
-//! association of the scalar `SigmaDelta2::step`,
-//! so either kernel is bit-identical to the scalar modulator — the
-//! property `tests/bank_oracle.rs` proves across both feature sets.
+//! `step_lane` is the one statement of the loop-filter clock: the
+//! scalar modulator's block stepper, the bank's tail lanes, and every
+//! tile kernel run it. Its decision only selects among candidates
+//! computed for every outcome, so the eight-lane loop has no
+//! data-dependent control flow and vectorizes: the bank's runtime
+//! dispatched AVX2 / AVX-512F kernels are this same source compiled for
+//! those instruction sets, where each select becomes a lane-mask blend.
+//! The baseline-ISA build of it is the portable body — the one other
+//! targets run and `TONOS_FORCE_KERNEL=scalar-tile` pins. Every build
+//! evaluates every floating-point expression with the exact association
+//! of the scalar `SigmaDelta2::step` (Rust never contracts to FMA), so
+//! each is bit-identical to the scalar modulator — the property
+//! `tests/bank_oracle.rs` proves under every dispatched kernel.
 
-/// Lanes per tile: one 64-byte cache line of f64s, and the unroll width
-/// of the wide kernel.
+use std::hint::select_unpredictable;
+
+/// Lanes per tile: one 64-byte cache line of f64s, and one AVX-512
+/// register.
 pub const TILE: usize = 8;
 
-/// One cache-line-aligned row of [`TILE`] f64 lanes — the vector type of
-/// the tiled bank, with the handful of `core::simd`-style wide ops the
-/// loop filter needs.
-///
-/// Arithmetic helpers are plain lane-wise loops: on the scalar path they
-/// document the semantics, on the `wide-lanes` path their fixed width
-/// and branch-free bodies are the shape LLVM turns into vector
-/// instructions. Lane masks are `u8` words, bit `i` = lane `i`.
+/// One cache-line-aligned row of [`TILE`] f64 lanes — the unit the
+/// tiled bank stores state and coefficient rows in.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(align(64))]
 pub struct F64Tile(pub [f64; TILE]);
@@ -39,197 +38,148 @@ impl F64Tile {
     /// All lanes exactly `0.0`.
     pub const ZERO: F64Tile = F64Tile([0.0; TILE]);
 
-    /// Every lane set to `v`.
-    #[inline(always)]
-    #[must_use]
-    pub fn splat(v: f64) -> Self {
-        F64Tile([v; TILE])
-    }
-
     /// Copies a possibly-unaligned row into an aligned tile.
     #[inline(always)]
     #[must_use]
     pub fn from_row(row: &[f64; TILE]) -> Self {
         F64Tile(*row)
     }
-
-    /// Lane mask of `self > o` (strict).
-    #[inline(always)]
-    #[must_use]
-    pub fn gt_mask(self, o: Self) -> u8 {
-        let mut m = 0u8;
-        for i in 0..TILE {
-            m |= u8::from(self.0[i] > o.0[i]) << i;
-        }
-        m
-    }
-
-    /// Lane mask of `self < o` (strict).
-    #[inline(always)]
-    #[must_use]
-    pub fn lt_mask(self, o: Self) -> u8 {
-        let mut m = 0u8;
-        for i in 0..TILE {
-            m |= u8::from(self.0[i] < o.0[i]) << i;
-        }
-        m
-    }
-
-    /// Lane mask of `self >= o`.
-    #[inline(always)]
-    #[must_use]
-    pub fn ge_mask(self, o: Self) -> u8 {
-        let mut m = 0u8;
-        for i in 0..TILE {
-            m |= u8::from(self.0[i] >= o.0[i]) << i;
-        }
-        m
-    }
-
-    /// Per-lane select: `on` where the mask bit is set, `off` elsewhere.
-    #[inline(always)]
-    #[must_use]
-    pub fn blend(mask: u8, on: Self, off: Self) -> Self {
-        let mut out = off;
-        for i in 0..TILE {
-            if mask >> i & 1 == 1 {
-                out.0[i] = on.0[i];
-            }
-        }
-        out
-    }
-
-    /// Exact sign flip (bitwise, so `-0.0` and infinities behave like
-    /// IEEE negation) on every lane whose mask bit is **clear** — the
-    /// wide form of multiplying by a ±1 history word.
-    #[inline(always)]
-    #[must_use]
-    pub fn neg_where_clear(self, mask: u8) -> Self {
-        let mut out = self;
-        for i in 0..TILE {
-            let sign = u64::from(!mask >> i & 1) << 63;
-            out.0[i] = f64::from_bits(out.0[i].to_bits() ^ sign);
-        }
-        out
-    }
 }
 
-// Lane-wise arithmetic. Operator association in the wide kernel is
-// chosen to mirror the scalar loop-filter expressions exactly, so the
-// elementwise semantics here must stay plain `a ⊕ b` per lane.
-impl std::ops::Add for F64Tile {
-    type Output = Self;
-    #[inline(always)]
-    fn add(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(&o.0) {
-            *a += b;
-        }
-        self
-    }
-}
-
-impl std::ops::Sub for F64Tile {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(&o.0) {
-            *a -= b;
-        }
-        self
-    }
-}
-
-impl std::ops::Mul for F64Tile {
-    type Output = Self;
-    #[inline(always)]
-    fn mul(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(&o.0) {
-            *a *= b;
-        }
-        self
-    }
-}
-
-/// The per-tile loop-filter constants, hoisted out of the clock loop
-/// once per chunk.
+/// The loop-filter constants of one lane (`T = f64`) or one tile of
+/// lanes (`T = F64Tile`), hoisted out of the clock loop.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TileConsts {
-    pub leak: F64Tile,
-    pub sat: F64Tile,
-    pub off: F64Tile,
-    pub hyst: F64Tile,
-    pub mis: F64Tile,
-    pub isi: F64Tile,
-    pub b1: F64Tile,
-    pub a1: F64Tile,
-    pub c1: F64Tile,
-    pub a2: F64Tile,
+pub(crate) struct Consts<T> {
+    pub leak: T,
+    pub sat: T,
+    pub off: T,
+    pub hyst: T,
+    pub mis: T,
+    pub isi: T,
+    pub b1: T,
+    pub a1: T,
+    pub c1: T,
+    pub a2: T,
 }
 
-/// The per-clock rows a tile step consumes: the impaired input and the
-/// four pre-multiplied noise rows.
+/// The per-clock values one clock step consumes: the impaired input and
+/// the four pre-multiplied noise draws, for one lane or one tile.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TileRows {
-    pub u: F64Tile,
-    pub z1: F64Tile,
-    pub z2: F64Tile,
-    pub zc: F64Tile,
-    pub zr: F64Tile,
+pub(crate) struct Rows<T> {
+    pub u: T,
+    pub z1: T,
+    pub z2: T,
+    pub zc: T,
+    pub zr: T,
+}
+
+/// Per-tile constants.
+pub(crate) type TileConsts = Consts<F64Tile>;
+/// Per-tile clock rows.
+pub(crate) type TileRows = Rows<F64Tile>;
+
+impl TileConsts {
+    /// Lane `i`'s constants.
+    #[inline(always)]
+    fn lane(&self, i: usize) -> Consts<f64> {
+        Consts {
+            leak: self.leak.0[i],
+            sat: self.sat.0[i],
+            off: self.off.0[i],
+            hyst: self.hyst.0[i],
+            mis: self.mis.0[i],
+            isi: self.isi.0[i],
+            b1: self.b1.0[i],
+            a1: self.a1.0[i],
+            c1: self.c1.0[i],
+            a2: self.a2.0[i],
+        }
+    }
+}
+
+impl TileRows {
+    /// Lane `i`'s clock values.
+    #[inline(always)]
+    fn lane(&self, i: usize) -> Rows<f64> {
+        Rows {
+            u: self.u.0[i],
+            z1: self.z1.0[i],
+            z2: self.z2.0[i],
+            zc: self.zc.0[i],
+            zr: self.zr.0[i],
+        }
+    }
+}
+
+/// One integrator update's clamp, exactly as `ScIntegrator::update`:
+/// the clamped state and whether it saturated.
+#[inline(always)]
+fn clamp_sat(next: f64, sat: f64) -> (f64, bool) {
+    let hi = next > sat;
+    let lo = next < -sat;
+    let x = select_unpredictable(hi, sat, select_unpredictable(lo, -sat, next));
+    (x, hi || lo)
 }
 
 /// One scalar lane through one modulator clock — the exact expression
-/// tree of `SigmaDelta2::step` (and therefore of both tile kernels).
-/// Returns `(comparator_positive, saturated_either_stage)`.
+/// tree of `SigmaDelta2::step`, and the one loop-filter clock the scalar
+/// block stepper, the bank's tail lanes, and every tile kernel run.
+/// Returns `(comparator_positive, int1_saturated, int2_saturated)`.
+///
+/// The decision does not gate any arithmetic: the comparison is made
+/// against the threshold of either previous decision, and the DAC
+/// feedback and both integrator updates are computed for both outcomes
+/// before the decision resolves, which then only selects. Each
+/// candidate is the IEEE expression the branchy form evaluates for its
+/// outcome, and clamping commutes with the selection, so the results
+/// are bit-identical.
+// The `* -1.0` factors spell out `step`'s `hyst * last` and
+// `level * (1 + zr)` for the negative history and decision.
+#[allow(clippy::neg_multiply)]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn step_lane(
     x1: &mut f64,
     x2: &mut f64,
-    leak: f64,
-    sat: f64,
-    off: f64,
-    hyst: f64,
-    mis: f64,
-    isi: f64,
-    b1: f64,
-    a1: f64,
-    c1: f64,
-    a2: f64,
-    u: f64,
-    z1: f64,
-    z2: f64,
-    zc: f64,
-    zr: f64,
+    c: &Consts<f64>,
+    r: &Rows<f64>,
     comp_last_pos: bool,
     dac_last_pos: bool,
-) -> (bool, bool) {
-    // Comparator decision from the previous x2 (delaying loop):
-    // threshold = offset − h·last + noise, with last = ±1.0.
-    let last = if comp_last_pos { 1.0 } else { -1.0 };
-    let threshold = off - hyst * last + zc;
-    let vpos = *x2 >= threshold;
-    // 1-bit DAC: positive-level mismatch, rising-edge ISI,
-    // multiplicative reference noise.
-    let level = if vpos { 1.0 + mis } else { -1.0 };
-    let rising = vpos && !dac_last_pos;
-    let level = if rising { level * (1.0 - isi) } else { level };
-    let vf = level * (1.0 + zr);
-    // Both integrators, saturating exactly like ScIntegrator::update.
+) -> (bool, bool, bool) {
+    // Comparator (delaying loop): x2 ≥ offset − h·last + noise, with
+    // last = ±1.0 the previous decision.
+    let above_after_pos = *x2 >= c.off - c.hyst * 1.0 + r.zc;
+    let above_after_neg = *x2 >= c.off - c.hyst * -1.0 + r.zc;
+    let vpos = select_unpredictable(comp_last_pos, above_after_pos, above_after_neg);
+    // 1-bit DAC for either outcome: positive-level mismatch, rising-edge
+    // ISI, multiplicative reference noise.
+    let level_pos = select_unpredictable(dac_last_pos, 1.0 + c.mis, (1.0 + c.mis) * (1.0 - c.isi));
+    let vf_pos = level_pos * (1.0 + r.zr);
+    let vf_neg = -1.0 * (1.0 + r.zr);
+    // Both integrators for either outcome (the second takes the old
+    // x1), selected, then clamped like ScIntegrator::update.
     let x1_old = *x1;
-    let next1 = leak * x1_old + (b1 * u - a1 * vf) + z1;
-    let sat1 = next1 > sat || next1 < -sat;
-    *x1 = next1.clamp(-sat, sat);
-    let next2 = leak * *x2 + (c1 * x1_old - a2 * vf) + z2;
-    let sat2 = next2 > sat || next2 < -sat;
-    *x2 = next2.clamp(-sat, sat);
-    (vpos, sat1 || sat2)
+    let x2_old = *x2;
+    let next = |vf: f64| {
+        (
+            c.leak * x1_old + (c.b1 * r.u - c.a1 * vf) + r.z1,
+            c.leak * x2_old + (c.c1 * x1_old - c.a2 * vf) + r.z2,
+        )
+    };
+    let (x1_pos, x2_pos) = next(vf_pos);
+    let (x1_neg, x2_neg) = next(vf_neg);
+    let (x1_next, sat1) = clamp_sat(select_unpredictable(vpos, x1_pos, x1_neg), c.sat);
+    let (x2_next, sat2) = clamp_sat(select_unpredictable(vpos, x2_pos, x2_neg), c.sat);
+    *x1 = x1_next;
+    *x2 = x2_next;
+    (vpos, sat1, sat2)
 }
 
-/// The portable scalar tile body: [`TILE`] lanes through [`step_lane`]
-/// in lane order. Always compiled — it is the oracle the wide kernel is
-/// tested against, and the default [`step_tile`].
-#[cfg_attr(feature = "wide-lanes", allow(dead_code))]
-pub(crate) fn step_tile_scalar(
+/// One full tile through one clock: [`TILE`] lanes through
+/// `step_lane` in lane order, returning the comparator and saturation
+/// lane masks. Always inlined, so each dispatched chunk kernel compiles
+/// (and vectorizes) it for its own instruction set.
+#[inline(always)]
+pub(crate) fn step_tile(
     x1: &mut F64Tile,
     x2: &mut F64Tile,
     c: &TileConsts,
@@ -240,95 +190,24 @@ pub(crate) fn step_tile_scalar(
     let mut vpos8 = 0u8;
     let mut sat8 = 0u8;
     for i in 0..TILE {
-        let (vpos, satd) = step_lane(
+        let (vpos, sat1, sat2) = step_lane(
             &mut x1.0[i],
             &mut x2.0[i],
-            c.leak.0[i],
-            c.sat.0[i],
-            c.off.0[i],
-            c.hyst.0[i],
-            c.mis.0[i],
-            c.isi.0[i],
-            c.b1.0[i],
-            c.a1.0[i],
-            c.c1.0[i],
-            c.a2.0[i],
-            rows.u.0[i],
-            rows.z1.0[i],
-            rows.z2.0[i],
-            rows.zc.0[i],
-            rows.zr.0[i],
+            &c.lane(i),
+            &rows.lane(i),
             comp_last >> i & 1 == 1,
             dac_last >> i & 1 == 1,
         );
         vpos8 |= u8::from(vpos) << i;
-        sat8 |= u8::from(satd) << i;
+        sat8 |= u8::from(sat1 || sat2) << i;
     }
     (vpos8, sat8)
-}
-
-/// The explicit wide-ops tile body (`wide-lanes`): branch-free
-/// whole-tile passes, with the ±1 histories and comparator decisions as
-/// packed `u8` lane masks. Bit-identical to [`step_tile_scalar`] —
-/// every select is a mask blend over values computed with the same
-/// association, and the ±1 multiplies become exact sign flips.
-#[cfg_attr(not(feature = "wide-lanes"), allow(dead_code))]
-pub(crate) fn step_tile_wide(
-    x1: &mut F64Tile,
-    x2: &mut F64Tile,
-    c: &TileConsts,
-    rows: &TileRows,
-    comp_last: u8,
-    dac_last: u8,
-) -> (u8, u8) {
-    let one = F64Tile::splat(1.0);
-    // threshold = off − hyst·(±1) + zc: the ±1 multiply is an exact
-    // sign flip on the lanes whose history bit is clear.
-    let h = c.hyst.neg_where_clear(comp_last);
-    let threshold = c.off - h + rows.zc;
-    let vpos8 = x2.ge_mask(threshold);
-    // DAC level: +1+mismatch on positive lanes, −1 elsewhere; rising
-    // edges (positive now, negative last) additionally scale by 1−isi.
-    let rising = vpos8 & !dac_last;
-    let level = F64Tile::blend(vpos8, one + c.mis, F64Tile::splat(-1.0));
-    let level = F64Tile::blend(rising, level * (one - c.isi), level);
-    let vf = level * (one + rows.zr);
-    // First integrator: next = leak·x1 + (b1·u − a1·vf) + z1, then the
-    // clamp written as compare+blend (identical to f64::clamp for every
-    // finite and NaN input).
-    let x1_old = *x1;
-    let next1 = c.leak * x1_old + (c.b1 * rows.u - c.a1 * vf) + rows.z1;
-    let neg_sat = c.sat.neg_where_clear(0);
-    let hi1 = next1.gt_mask(c.sat);
-    let lo1 = next1.lt_mask(neg_sat);
-    *x1 = F64Tile::blend(hi1, c.sat, F64Tile::blend(lo1, neg_sat, next1));
-    // Second integrator, fed by the *previous* first-stage output.
-    let next2 = c.leak * *x2 + (c.c1 * x1_old - c.a2 * vf) + rows.z2;
-    let hi2 = next2.gt_mask(c.sat);
-    let lo2 = next2.lt_mask(neg_sat);
-    *x2 = F64Tile::blend(hi2, c.sat, F64Tile::blend(lo2, neg_sat, next2));
-    (vpos8, hi1 | lo1 | hi2 | lo2)
-}
-
-#[cfg(not(feature = "wide-lanes"))]
-pub(crate) use step_tile_scalar as step_tile;
-/// The tile kernel the bank's loop filter runs on full tiles: the wide
-/// body with `--features wide-lanes`, the scalar tile loop otherwise.
-#[cfg(feature = "wide-lanes")]
-pub(crate) use step_tile_wide as step_tile;
-
-/// True when this build steps full tiles with the explicit wide-ops
-/// kernel (`--features wide-lanes`); false when it runs the portable
-/// scalar tile loop.
-#[must_use]
-pub const fn wide_lanes() -> bool {
-    cfg!(feature = "wide-lanes")
 }
 
 /// One hot state or coefficient row stored as aligned tiles. Logical
 /// length is the bank's lane count; the slack lanes of a partial final
 /// tile hold `0.0` and are never stepped (the loop filter handles them
-/// with scalar [`step_lane`] calls on the real lanes only).
+/// with scalar `step_lane` calls on the real lanes only).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TileRow {
     tiles: Vec<F64Tile>,
@@ -465,70 +344,6 @@ impl BitRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic value stream for kernel cross-checks.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next_f64(&mut self) -> f64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Small magnitudes around zero, the loop filter's regime.
-            ((self.0 >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        }
-        fn tile(&mut self, scale: f64) -> F64Tile {
-            let mut t = F64Tile::ZERO;
-            for v in &mut t.0 {
-                *v = self.next_f64() * scale;
-            }
-            t
-        }
-    }
-
-    #[test]
-    fn wide_and_scalar_tile_kernels_are_bit_identical() {
-        let mut rng = Lcg(0xfeed_beef);
-        for case in 0..200 {
-            let consts = TileConsts {
-                leak: rng.tile(0.05) + F64Tile::splat(0.95),
-                sat: rng.tile(0.2) + F64Tile::splat(1.0),
-                off: rng.tile(0.01),
-                hyst: rng.tile(0.01),
-                mis: rng.tile(0.01),
-                isi: rng.tile(0.01),
-                b1: rng.tile(0.5),
-                a1: rng.tile(0.5),
-                c1: rng.tile(0.5),
-                a2: rng.tile(0.5),
-            };
-            let mut x1a = rng.tile(2.0);
-            let mut x2a = rng.tile(2.0);
-            let mut x1b = x1a;
-            let mut x2b = x2a;
-            let mut cl = (case % 251) as u8;
-            let mut dl = (case % 241) as u8;
-            for _ in 0..32 {
-                let rows = TileRows {
-                    u: rng.tile(0.8),
-                    z1: rng.tile(0.001),
-                    z2: rng.tile(0.001),
-                    zc: rng.tile(0.001),
-                    zr: rng.tile(0.001),
-                };
-                let (va, sa) = step_tile_scalar(&mut x1a, &mut x2a, &consts, &rows, cl, dl);
-                let (vb, sb) = step_tile_wide(&mut x1b, &mut x2b, &consts, &rows, cl, dl);
-                assert_eq!(va, vb, "comparator masks diverged");
-                assert_eq!(sa, sb, "saturation masks diverged");
-                for i in 0..TILE {
-                    assert_eq!(x1a.0[i].to_bits(), x1b.0[i].to_bits(), "x1 lane {i}");
-                    assert_eq!(x2a.0[i].to_bits(), x2b.0[i].to_bits(), "x2 lane {i}");
-                }
-                cl = va;
-                dl = va;
-            }
-        }
-    }
 
     #[test]
     fn tile_row_push_remove_matches_vec_semantics() {

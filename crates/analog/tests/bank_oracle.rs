@@ -360,6 +360,54 @@ fn constant_block_path_is_bit_identical_to_scalar() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The settled-frame path with every lane noisy — the production
+    /// case, where every noise kind and the input streams advance in
+    /// lockstep and are carried across 64-clock chunks — matches the
+    /// scalar oracle for K across tile boundaries and blocks shorter
+    /// and longer than a chunk.
+    #[test]
+    fn all_noisy_constant_blocks_are_bit_identical(
+        seeds in prop::collection::vec(any::<u64>(), 1..=20),
+        lens in prop::collection::vec(1usize..300, 1..=4),
+        base in -0.9_f64..0.9,
+    ) {
+        let k = seeds.len();
+        let mods: Vec<SigmaDelta2> = seeds
+            .iter()
+            .map(|&seed| SigmaDelta2::new(NonIdealities::typical().with_seed(seed)).unwrap())
+            .collect();
+        let mut oracles: Vec<Oracle> = mods.iter().cloned().map(Oracle::new).collect();
+        let mut bank = SigmaDelta2Bank::from_modulators(mods);
+        let mut bits = vec![PackedBits::new(); k];
+        for (block, &clocks) in lens.iter().enumerate() {
+            let levels: Vec<f64> = (0..k)
+                .map(|lane| base + 0.05 * ((lane + 3 * block) as f64).sin())
+                .collect();
+            bank.step_block_constant(clocks, &levels, &mut bits);
+            for (o, &x) in oracles.iter_mut().zip(&levels) {
+                o.feed(&vec![x; clocks]);
+            }
+        }
+        for (lane, oracle) in oracles.iter_mut().enumerate() {
+            prop_assert_eq!(&bits[lane], &oracle.packed(), "lane {} bits", lane);
+            prop_assert_eq!(bank.steps(lane), oracle.dsm.steps());
+            prop_assert_eq!(bank.saturation_events(lane), oracle.dsm.saturation_events());
+        }
+        // Carried stream positions: retired lanes keep agreeing.
+        for lane in (0..k).rev() {
+            let mut retired = bank.retire_lane(lane);
+            let mut oracle = oracles.remove(lane);
+            for n in 0..80 {
+                let x = base + 0.03 * (n as f64 * 0.7).cos();
+                prop_assert_eq!(retired.step(x), oracle.dsm.step(x), "retired lane {}", lane);
+            }
+        }
+    }
+}
+
 #[test]
 fn saturating_input_counts_overloads_like_scalar() {
     // Inputs outside the stable range overload the loop; the bank must

@@ -1,14 +1,13 @@
 //! The per-stream scalar draw is the **bit-exact oracle** for the
 //! lockstep noise fill: every lane of a [`LockstepFill`] tile — whether
-//! produced by the portable rows or the explicit-SIMD `wide-lanes`
-//! kernel the build dispatched to — must hold exactly
+//! produced by the portable rows or the explicit-SIMD kernel runtime
+//! dispatch picked — must hold exactly
 //! `standard() * sigma` (or `bias + standard() * sigma + 0.0`) draw for
 //! draw, across random K (spanning the 4- and 8-lane vector-width
 //! boundaries, including partial tails), random seeds, zero and nonzero
 //! sigmas, and multi-block fills whose carried generator state
-//! straddles rejection events. Run in both the default and `wide-lanes`
-//! CI legs; `TONOS_FORCE_KERNEL` additionally pins which body the
-//! dispatched path takes.
+//! straddles rejection events. CI reruns it with `TONOS_FORCE_KERNEL`
+//! pinning which body the dispatched path takes.
 
 use proptest::prelude::*;
 use tonos_analog::noise::{kernel_name, LockstepFill, NoiseSource};
@@ -182,7 +181,7 @@ fn partial_tail_lane_counts_stay_bit_identical() {
 }
 
 /// The reported noise kernel is one of the documented names, and wide
-/// names only appear when the wide feature is compiled in.
+/// names only appear on x86-64, where runtime dispatch can pick them.
 #[test]
 fn noise_kernel_name_is_documented() {
     let name = kernel_name();
@@ -190,7 +189,7 @@ fn noise_kernel_name_is_documented() {
         ["scalar-lockstep", "wide-avx2", "wide-avx512f"].contains(&name),
         "unknown noise kernel {name:?}"
     );
-    if cfg!(not(all(feature = "wide-lanes", target_arch = "x86_64"))) {
+    if cfg!(not(target_arch = "x86_64")) {
         assert_eq!(name, "scalar-lockstep");
     }
 }

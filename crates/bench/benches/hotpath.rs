@@ -41,11 +41,10 @@ fn bench_modulator_block(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("typical", "step_block"), |b| {
         let mut dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-        let mut noise = Vec::with_capacity(CLOCKS);
         let mut bits = PackedBits::with_capacity(CLOCKS);
         b.iter(|| {
             bits.clear();
-            dsm.step_block(black_box(&stim), &mut noise, &mut bits);
+            dsm.step_block(black_box(&stim), &mut bits);
             black_box(bits.len())
         });
     });

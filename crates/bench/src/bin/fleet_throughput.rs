@@ -73,7 +73,8 @@ fn fleet_sessions_per_s(workers: usize) -> f64 {
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("measuring on {cores} hardware thread(s)...");
+    let kernel = tonos_analog::bank::kernel_name();
+    eprintln!("measuring on {cores} hardware thread(s), kernel {kernel}...");
 
     let f64_mbps = decimation_mbps(false);
     let packed_mbps = decimation_mbps(true);
@@ -107,6 +108,7 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"fleet_throughput\",");
     println!("  \"host_hardware_threads\": {cores},");
+    println!("  \"kernel\": \"{kernel}\",");
     println!("  \"session_duration_s\": {DURATION_S},");
     println!("  \"sessions_per_measurement\": {SESSIONS},");
     println!("  \"decimation\": {{");

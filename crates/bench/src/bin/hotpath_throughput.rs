@@ -26,9 +26,10 @@
 //! noisy CI runners.
 //!
 //! Run with: `cargo run --release -p tonos-bench --bin hotpath_throughput`
-//! (`--quick` shrinks the workload for CI smoke runs). Build with
-//! `--features wide-lanes` to measure the explicit wide-ops tile
-//! kernel; the `kernel` JSON field records which one ran.
+//! (`--quick` shrinks the workload for CI smoke runs). The tile and
+//! noise kernels are picked by runtime CPU detection;
+//! `TONOS_FORCE_KERNEL=scalar-tile` pins the portable bodies, and the
+//! `kernel` JSON fields record which ones ran.
 
 use std::time::Instant;
 
@@ -100,11 +101,10 @@ fn decimation_mbps(packed: bool, seconds: usize, reps: usize) -> f64 {
 fn modulator_ns_per_clock(reps: usize) -> f64 {
     let stim = sine_wave(128_000.0, 100.0, 0.5, 0.0, CLOCKS);
     let mut dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-    let mut noise = Vec::with_capacity(CLOCKS);
     let mut bits = PackedBits::with_capacity(CLOCKS);
     let (_, ns) = rate(reps, CLOCKS, || {
         bits.clear();
-        dsm.step_block(&stim, &mut noise, &mut bits);
+        dsm.step_block(&stim, &mut bits);
         assert_eq!(bits.len(), CLOCKS);
     });
     ns
@@ -121,10 +121,8 @@ fn bank_ns_per_clock_lane(reps: usize, k: usize) -> f64 {
     }));
     let inputs = vec![0.2; k];
     let mut bits = vec![PackedBits::with_capacity(CLOCKS); k];
-    // Step in cache-resident blocks, like the session path does (one
-    // OSR frame per call): one giant block would grow the noise-tile
-    // scratch past the cache and measure memory, not the kernel.
-    let block = 5120; // 25 blocks of one real-time second, 64-clock aligned
+    // 25 blocks of one real-time second, 64-clock aligned.
+    let block = 5120;
     let (_, ns) = rate(reps, CLOCKS * k, || {
         for b in &mut bits {
             b.clear();
@@ -459,9 +457,9 @@ fn main() {
     // The pool target encodes "4x assumes an 8-core host": full 4.0
     // only with >= 8 cores, 2.5 on any multi-core host, and a bare
     // sanity floor on a single core (where W > 1 cannot speed anything
-    // up). The K=16 session gate (1.6x on any host) rides the wide
+    // up). The K=16 session gate (1.6x on any host) rides the SIMD
     // kernel at the clock level too, with a "tiling must not lose"
-    // floor for the portable scalar-tile build.
+    // floor for the portable scalar-tile kernel.
     let relax = if quick { 0.6 } else { 1.0 };
     let gate_packed = 1.0 * relax;
     let gate_tiled_clock = relax * if wide { 1.25 } else { 0.9 };
@@ -570,7 +568,7 @@ fn main() {
     println!("    \"gate_k8_vs_in_run_scalar_min\": {gate_k8_scalar:.3},");
     println!("    \"gate_best_pool_speedup_min\": {gate_pool:.3},");
     println!(
-        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the wide-lanes kernel (tiling-must-not-lose floor for the portable build); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
+        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the dispatched SIMD tile kernel (tiling-must-not-lose floor for the portable scalar-tile kernel); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
     );
     println!("  }},");
     println!(

@@ -97,7 +97,7 @@ impl<'a> ReadoutBank<'a> {
 
     /// Hands a pre-grown block scratch to the underlying modulator bank
     /// (see [`BankScratch`]); a fleet worker reuses one scratch across
-    /// every batch it runs so the noise tiles stay grown.
+    /// every batch it runs so the chunk rows stay grown.
     pub fn adopt_scratch(&mut self, scratch: BankScratch) {
         self.modulators.adopt_scratch(scratch);
     }

@@ -24,10 +24,9 @@ use crate::SystemError;
 
 /// Reusable per-worker scratch for [`run_batch_with_scratch`].
 ///
-/// Holds the modulator bank's grown noise tiles (and transpose buffers)
-/// between batches, so a long-lived worker fills its lane tiles into
-/// already-sized storage instead of re-growing allocations per session
-/// group. Contents carry no session state — adopting a stale scratch is
+/// Holds the modulator bank's grown chunk rows (and transpose buffers)
+/// between batches, so a long-lived worker draws into already-sized
+/// storage instead of re-growing allocations per session group. Contents carry no session state — adopting a stale scratch is
 /// always bit-safe; it only changes allocation behavior.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {

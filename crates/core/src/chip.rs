@@ -318,8 +318,8 @@ impl SensorChip {
 
     /// [`SensorChip::convert_frame_packed`] into caller-owned scratch —
     /// the zero-allocation hot path. The packed bitstream lands in
-    /// `scratch.bits`; `scratch.inputs` and `scratch.noise` hold the
-    /// frame's modulator inputs and pre-drawn noise as side products.
+    /// `scratch.bits`; `scratch.inputs` holds the frame's modulator
+    /// inputs as a side product.
     ///
     /// Bit-exact against the per-sample path: the settled mux emits a
     /// constant, so the input fill and the modulator's block stepper
@@ -359,7 +359,7 @@ impl SensorChip {
         self.caps_scratch = caps;
         filled?;
         self.modulator
-            .step_block(&scratch.inputs, &mut scratch.noise, &mut scratch.bits);
+            .step_block(&scratch.inputs, &mut scratch.bits);
         Ok(())
     }
 

@@ -1,9 +1,8 @@
 //! Caller-owned scratch buffers for the per-frame conversion hot path.
 //!
-//! Converting one pressure frame needs four working buffers: the
-//! modulator input samples for the frame, the pre-drawn per-sample noise
-//! the block modulator uses internally, the packed ±1 bitstream, and the
-//! decimated outputs. Allocating them per frame would put four heap
+//! Converting one pressure frame needs three working buffers: the
+//! modulator input samples for the frame, the packed ±1 bitstream, and
+//! the decimated outputs. Allocating them per frame would put three heap
 //! round-trips on a path that runs 1 000 times per second per session —
 //! [`ConversionScratch`] owns them instead, so a settled readout session
 //! performs **zero heap allocations per frame** (proven by the
@@ -28,8 +27,6 @@ use tonos_dsp::bits::PackedBits;
 pub struct ConversionScratch {
     /// Modulator input samples (one per modulator clock).
     pub inputs: Vec<f64>,
-    /// Per-sample noise workspace for the block modulator.
-    pub noise: Vec<f64>,
     /// Packed ±1 modulator bitstream for the frame.
     pub bits: PackedBits,
     /// Decimated output samples for the frame.
@@ -47,7 +44,6 @@ impl ConversionScratch {
     pub fn with_frame_capacity(clocks: usize) -> Self {
         ConversionScratch {
             inputs: Vec::with_capacity(clocks),
-            noise: Vec::with_capacity(clocks),
             bits: PackedBits::with_capacity(clocks),
             out: Vec::with_capacity(4),
         }
@@ -56,7 +52,6 @@ impl ConversionScratch {
     /// Clears all buffers, keeping their allocations.
     pub fn clear(&mut self) {
         self.inputs.clear();
-        self.noise.clear();
         self.bits.clear();
         self.out.clear();
     }
@@ -70,18 +65,14 @@ mod tests {
     fn clear_keeps_capacity() {
         let mut s = ConversionScratch::with_frame_capacity(128);
         s.inputs.extend(std::iter::repeat_n(0.5, 128));
-        s.noise.extend(std::iter::repeat_n(0.1, 128));
         for i in 0..128 {
             s.bits.push(i % 2 == 0);
         }
         s.out.push(0.25);
-        let caps = (s.inputs.capacity(), s.noise.capacity(), s.out.capacity());
+        let caps = (s.inputs.capacity(), s.out.capacity());
         s.clear();
-        assert!(s.inputs.is_empty() && s.noise.is_empty() && s.out.is_empty());
+        assert!(s.inputs.is_empty() && s.out.is_empty());
         assert!(s.bits.is_empty());
-        assert_eq!(
-            (s.inputs.capacity(), s.noise.capacity(), s.out.capacity()),
-            caps
-        );
+        assert_eq!((s.inputs.capacity(), s.out.capacity()), caps);
     }
 }

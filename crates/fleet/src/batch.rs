@@ -21,12 +21,12 @@
 //!   [`names::FLEET_LANE_STEALS`] counts steals;
 //!   [`names::FLEET_BATCH_OCCUPANCY`] records how many lanes each
 //!   claimed group actually filled.
-//! * **Per-worker noise-tile prefill.** Each fleet worker owns one
-//!   [`BatchScratch`]: the lane bank's noise tiles are grown by the
+//! * **Per-worker bank scratch.** Each fleet worker owns one
+//!   [`BatchScratch`]: the lane bank's chunk rows are grown by the
 //!   first batch a worker runs and reused for every later batch, so
-//!   the steady state allocates nothing per group. The prefill routes
-//!   through `LockstepFill`, so under `--features wide-lanes` every
-//!   shard inherits the explicit-SIMD noise kernel (4/8 generator
+//!   the steady state allocates nothing per group. The noise draws
+//!   route through `LockstepFill`, so on x86-64 every shard inherits
+//!   the runtime-dispatched explicit-SIMD noise kernel (4/8 generator
 //!   streams per vector register) with no change up here.
 //! * **Same isolation.** Every session in a batch still gets its own
 //!   telemetry [`Registry`]; lanes share an instruction stream, never a

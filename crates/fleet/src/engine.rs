@@ -554,9 +554,9 @@ impl Drop for FleetEngine {
 }
 
 fn worker_loop(who: usize, jobs: &Mutex<Receiver<Dispatch>>, results: &Sender<RawResult>) {
-    // Worker-local bank scratch: noise tiles grown by the first batch
-    // this worker runs stay grown for every later batch (per-worker
-    // noise-tile prefill). Never holds session state, only capacity.
+    // Worker-local bank scratch: chunk rows grown by the first batch
+    // this worker runs stay grown for every later batch. Never holds
+    // session state, only capacity.
     let mut scratch = BatchScratch::default();
     loop {
         // Hold the lock only for the hand-off; a worker blocked in recv

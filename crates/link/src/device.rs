@@ -294,6 +294,30 @@ mod tests {
     }
 
     #[test]
+    fn device_stream_matches_its_golden_digest() {
+        // One fixed session's wire bytes, pinned by length and a 64-bit
+        // FNV-1a digest. The bit-identity checks elsewhere compare the
+        // chip against the same build's own scalar path, so they cannot
+        // see a chip kernel that changes the stream; this digest,
+        // recorded from the two-pass block stepper the fused kernel
+        // replaced, can. (A CRC-32 of the wire cannot: every frame ends
+        // in its own CRC-32, which leaves a running CRC at a fixed
+        // residue whatever the payload.)
+        let config = SystemConfig::paper_default();
+        let patient = PatientProfile::normotensive().with_seed(0x5EED);
+        let mut dev = DeviceSimulator::new(&config, &patient, 2.0)
+            .unwrap()
+            .with_auth(LinkKey::from_bytes(*b"tonos-golden-key"), 0xD1CE, 0x0B5E);
+        let mut wire = Vec::new();
+        while dev.next_packet_into(&mut wire).unwrap() {}
+        let fnv1a = wire.iter().fold(0xCBF2_9CE4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(wire.len(), 38_801);
+        assert_eq!(fnv1a, 0xC8BD_7F0A_BFC1_329A);
+    }
+
+    #[test]
     fn last_packet_bits_mirror_the_wire_payload() {
         let config = SystemConfig::paper_default();
         let patient = PatientProfile::hypertensive();

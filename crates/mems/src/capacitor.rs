@@ -175,14 +175,19 @@ impl MembraneCapacitor {
             }
         };
 
+        // The mode shape is separable, so φ is evaluated once per grid
+        // line; each point's deflection keeps `deflection_at`'s
+        // (w0·φ(x))·φ(y) order, so the sum is bit-identical to the
+        // per-point formula.
+        let phi: Vec<f64> = (0..=n)
+            .map(|i| self.plate.mode_shape(-half + i as f64 * h))
+            .collect();
         let mut integral = 0.0;
-        for i in 0..=n {
-            let x = -half + i as f64 * h;
+        for (i, &phi_x) in phi.iter().enumerate() {
             let wx = weight(i);
-            for j in 0..=n {
-                let y = -half + j as f64 * h;
-                let w = self.plate.deflection_at(w0, x, y).value();
-                integral += wx * weight(j) / (g_eff - w);
+            let w0_phi_x = w0.value() * phi_x;
+            for (j, &phi_y) in phi.iter().enumerate() {
+                integral += wx * weight(j) / (g_eff - w0_phi_x * phi_y);
             }
         }
         integral *= (h / 3.0) * (h / 3.0);
@@ -242,10 +247,69 @@ impl MembraneCapacitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::SensorArray;
     use crate::units::MillimetersHg;
 
     fn cap() -> MembraneCapacitor {
         MembraneCapacitor::paper_default()
+    }
+
+    /// The capacitance integral stated point by point — `deflection_at`
+    /// at every Simpson grid point — as the oracle for the separable
+    /// evaluation.
+    fn capacitance_per_point(c: &MembraneCapacitor, w0: Meters) -> f64 {
+        let g = c.geometry();
+        let g_eff = g.air_gap.value() + g.dielectric_gap.value();
+        let half = g.electrode_side.value() / 2.0;
+        let n = c.grid;
+        let h = g.electrode_side.value() / n as f64;
+        let weight = |i: usize| match i {
+            0 => 1.0,
+            i if i == n => 1.0,
+            i if i % 2 == 1 => 4.0,
+            _ => 2.0,
+        };
+        let mut integral = 0.0;
+        for i in 0..=n {
+            let x = -half + i as f64 * h;
+            for j in 0..=n {
+                let y = -half + j as f64 * h;
+                let w = c.plate().deflection_at(w0, x, y).value();
+                integral += weight(i) * weight(j) / (g_eff - w);
+            }
+        }
+        integral *= (h / 3.0) * (h / 3.0);
+        (Farads(EPSILON_0 * integral) + g.parasitic).value()
+    }
+
+    #[test]
+    fn separable_capacitance_is_bit_identical_to_the_per_point_formula() {
+        // Every element of the paper array (mismatched, at the chip's
+        // grid) at each of the chip's 301 lookup-table pressures, plus
+        // the run-up to touch.
+        let array = SensorArray::paper_default(0xC41D).with_grid(16);
+        for (_, element) in array.iter() {
+            let c = element.capacitor();
+            let near_touch = c.collapse_pressure().value() * 0.999;
+            let loads = (0..301)
+                .map(|i| -150_000.0 + i as f64 * 1000.0)
+                .chain([near_touch]);
+            for p in loads {
+                let w0 = c.plate().center_deflection(Pascals(p)).unwrap();
+                let got = c.capacitance(Pascals(p)).unwrap().value();
+                assert_eq!(
+                    got.to_bits(),
+                    capacitance_per_point(c, w0).to_bits(),
+                    "{p} Pa"
+                );
+            }
+            // A collapsing load is still rejected.
+            let crushing = Pascals(c.collapse_pressure().value() * 1.5);
+            assert!(matches!(
+                c.capacitance(crushing),
+                Err(MemsError::MembraneCollapse { .. })
+            ));
+        }
     }
 
     #[test]
