@@ -997,8 +997,9 @@ impl SigmaDelta2Bank {
             let bit = lane % 64;
             let rows_out = &mut clock_rows[(lane / 64) * 64..(lane / 64) * 64 + nb];
             for (n, out_word) in rows_out.iter_mut().enumerate() {
-                let (vpos, sat1, sat2) =
+                let (margin, sat1, sat2) =
                     step_lane(&mut x1s, &mut x2s, &consts, &src.lane(n, lane), cl, dl);
+                let vpos = margin >= 0.0;
                 cl = vpos;
                 dl = vpos;
                 *out_word |= u64::from(vpos) << bit;

@@ -359,8 +359,10 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         let mut nc = self.comparator.noise.clone();
         let mut nd = self.dac.noise.clone();
         let (mut x1, mut x2) = (self.int1.state, self.int2.state);
-        let mut comp_pos = self.comparator.last > 0;
-        let mut dac_pos = self.dac.last_bit > 0;
+        // The last decision, carried as a comparator margin whose sign
+        // is the decision (see `step_lane`). The comparator and DAC
+        // histories are always equal: `step` and `reset` set both.
+        let mut margin: f64 = if self.comparator.last > 0 { 0.0 } else { -1.0 };
         let mut prev = self.prev_input;
         let (mut sat1, mut sat2) = (self.int1.saturated, self.int2.saturated);
         let mut saturations = 0u64;
@@ -379,9 +381,22 @@ impl DeltaSigmaModulator for SigmaDelta2 {
                 z1: n1.gaussian_inline(xs, sigma1),
                 z2: n2.gaussian_inline(xs, sigma2),
             };
-            let (vpos, s1, s2) = step_lane(&mut x1, &mut x2, &consts, &rows, comp_pos, dac_pos);
-            comp_pos = vpos;
-            dac_pos = vpos;
+            // The history as two compares, so each select keyed on it
+            // gets its own and compiles to a mask blend, not a branch.
+            // They differ only for a NaN margin, i.e. a NaN x2, which
+            // stays NaN: every later decision is then negative and the
+            // positive DAC level is never used.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let (m, s1, s2) = step_lane(
+                &mut x1,
+                &mut x2,
+                &consts,
+                &rows,
+                margin >= 0.0,
+                !(margin < 0.0),
+            );
+            margin = m;
+            let vpos = margin >= 0.0;
             (sat1, sat2) = (s1, s2);
             saturations += u64::from(s1 || s2);
             word |= u64::from(vpos) << filled;
@@ -393,10 +408,10 @@ impl DeltaSigmaModulator for SigmaDelta2 {
             }
         }
         bits.push_bits(word, filled);
-        let last = if comp_pos { 1 } else { -1 };
+        let last = if margin >= 0.0 { 1 } else { -1 };
         self.last_bit = last;
         self.comparator.last = last;
-        self.dac.last_bit = if dac_pos { 1 } else { -1 };
+        self.dac.last_bit = last;
         (self.int1.state, self.int2.state) = (x1, x2);
         (self.int1.saturated, self.int2.saturated) = (sat1, sat2);
         self.prev_input = prev;
@@ -768,7 +783,12 @@ mod tests {
                 } else {
                     self.range(20.0, 1e5)
                 },
-                integrator_saturation: self.range(0.3, 6.0),
+                // Now and then unbounded, so x2 itself can reach ±∞.
+                integrator_saturation: if self.below(8) == 0 {
+                    f64::INFINITY
+                } else {
+                    self.range(0.3, 6.0)
+                },
                 input_noise_sigma: self.sigma(),
                 comparator_offset: self.range(-0.05, 0.05),
                 comparator_hysteresis: self.range(0.0, 0.05),
@@ -791,13 +811,18 @@ mod tests {
 
         /// A run of inputs: held constant, or a new value every clock.
         /// Both reach past full scale, so small saturation limits
-        /// overload.
+        /// overload; now and then one sample is NaN or ±∞.
         fn inputs(&mut self, len: usize) -> Vec<f64> {
-            if self.next() & 1 == 0 {
+            let mut xs = if self.next() & 1 == 0 {
                 vec![self.range(-1.6, 1.6); len]
             } else {
                 (0..len).map(|_| self.range(-1.6, 1.6)).collect()
+            };
+            if len > 0 && self.below(16) == 0 {
+                let at = self.below(len as u64);
+                xs[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3)];
             }
+            xs
         }
 
         /// A block length: the packing-word edges, or anything up to
@@ -831,10 +856,10 @@ mod tests {
         /// The fused block stepper against per-sample `step`, the
         /// oracle: random non-idealities with every noise stream silent
         /// or drawing, constant and per-clock inputs reaching
-        /// saturation, block lengths around the 64-bit packing word,
-        /// per-sample steps interleaved, and resets mid-stream. Bits,
-        /// counters, the whole final state, and each stream's next
-        /// draws must match.
+        /// saturation (and the odd NaN or infinite sample), block
+        /// lengths around the 64-bit packing word, per-sample steps
+        /// interleaved, and resets mid-stream. Bits, counters, the
+        /// whole final state, and each stream's next draws must match.
         #[test]
         fn step_block_is_bit_identical_to_per_sample_steps(case in any::<u64>()) {
             let mut g = Gen(case);

@@ -124,15 +124,22 @@ fn clamp_sat(next: f64, sat: f64) -> (f64, bool) {
 /// One scalar lane through one modulator clock — the exact expression
 /// tree of `SigmaDelta2::step`, and the one loop-filter clock the scalar
 /// block stepper, the bank's tail lanes, and every tile kernel run.
-/// Returns `(comparator_positive, int1_saturated, int2_saturated)`.
+/// Returns `(margin, int1_saturated, int2_saturated)`: the decision is
+/// `margin >= 0.0`.
 ///
-/// The decision does not gate any arithmetic: the comparison is made
-/// against the threshold of either previous decision, and the DAC
-/// feedback and both integrator updates are computed for both outcomes
-/// before the decision resolves, which then only selects. Each
-/// candidate is the IEEE expression the branchy form evaluates for its
-/// outcome, and clamping commutes with the selection, so the results
-/// are bit-identical.
+/// The decision does not gate any arithmetic: the DAC feedback and both
+/// integrator updates are computed for both outcomes before it
+/// resolves, and then it only selects. Each candidate is the IEEE
+/// expression the branchy form evaluates for its outcome, and clamping
+/// commutes with the selection, so the results are bit-identical.
+///
+/// The comparator's `x2 >= threshold` is returned as the margin
+/// `x2 - threshold`, whose sign is the same decision for every `x2`,
+/// infinite or NaN included: the threshold is finite (validated offset
+/// and hysteresis, finite noise), and a difference of distinct doubles
+/// never rounds to zero. A caller can then key the next clock's
+/// history on a float compare, which compiles to a mask blend where a
+/// `bool` history becomes a branch.
 // The `* -1.0` factors spell out `step`'s `hyst * last` and
 // `level * (1 + zr)` for the negative history and decision.
 #[allow(clippy::neg_multiply)]
@@ -144,12 +151,15 @@ pub(crate) fn step_lane(
     r: &Rows<f64>,
     comp_last_pos: bool,
     dac_last_pos: bool,
-) -> (bool, bool, bool) {
-    // Comparator (delaying loop): x2 ≥ offset − h·last + noise, with
-    // last = ±1.0 the previous decision.
-    let above_after_pos = *x2 >= c.off - c.hyst * 1.0 + r.zc;
-    let above_after_neg = *x2 >= c.off - c.hyst * -1.0 + r.zc;
-    let vpos = select_unpredictable(comp_last_pos, above_after_pos, above_after_neg);
+) -> (f64, bool, bool) {
+    // Comparator (delaying loop): x2 against offset − h·last + noise,
+    // with last = ±1.0 the previous decision.
+    let margin = select_unpredictable(
+        comp_last_pos,
+        *x2 - (c.off - c.hyst * 1.0 + r.zc),
+        *x2 - (c.off - c.hyst * -1.0 + r.zc),
+    );
+    let vpos = margin >= 0.0;
     // 1-bit DAC for either outcome: positive-level mismatch, rising-edge
     // ISI, multiplicative reference noise.
     let level_pos = select_unpredictable(dac_last_pos, 1.0 + c.mis, (1.0 + c.mis) * (1.0 - c.isi));
@@ -171,7 +181,7 @@ pub(crate) fn step_lane(
     let (x2_next, sat2) = clamp_sat(select_unpredictable(vpos, x2_pos, x2_neg), c.sat);
     *x1 = x1_next;
     *x2 = x2_next;
-    (vpos, sat1, sat2)
+    (margin, sat1, sat2)
 }
 
 /// One full tile through one clock: [`TILE`] lanes through
@@ -190,7 +200,7 @@ pub(crate) fn step_tile(
     let mut vpos8 = 0u8;
     let mut sat8 = 0u8;
     for i in 0..TILE {
-        let (vpos, sat1, sat2) = step_lane(
+        let (margin, sat1, sat2) = step_lane(
             &mut x1.0[i],
             &mut x2.0[i],
             &c.lane(i),
@@ -198,7 +208,7 @@ pub(crate) fn step_tile(
             comp_last >> i & 1 == 1,
             dac_last >> i & 1 == 1,
         );
-        vpos8 |= u8::from(vpos) << i;
+        vpos8 |= u8::from(margin >= 0.0) << i;
         sat8 |= u8::from(sat1 || sat2) << i;
     }
     (vpos8, sat8)
