@@ -669,7 +669,7 @@ impl SigmaDelta2Bank {
         self.convert(clocks, BlockInputs::Constant(inputs), bits);
     }
 
-    /// The block driver: per 64-clock chunk, draw the chunk's input and
+    /// Converts one block: per 64-clock chunk, draw the chunk's input and
     /// noise rows, then run the tiled loop filter over them. Lockstep
     /// fill groups are loaded once per block and carried across chunks.
     fn convert(&mut self, clocks: usize, inputs: BlockInputs, bits: &mut [PackedBits]) {
