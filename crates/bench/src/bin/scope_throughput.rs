@@ -18,13 +18,12 @@
 //! Run with: `cargo run --release -p tonos-bench --bin scope_throughput`
 //! (`--quick` shrinks the workload for CI smoke runs.)
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::DecimatorConfig;
+use tonos_link::http::request;
 use tonos_link::{
     DecoderStats, FrameEncoder, GapPolicy, HostPipeline, LinkCalibration, LinkDirectory, LinkHealth,
 };
@@ -127,15 +126,6 @@ fn fleet_shaped_sources(n: usize) -> (Registry, Arc<LinkDirectory>) {
     (registry, directory)
 }
 
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200 OK"), "scrape failed");
-    response
-}
-
 /// Mean `/metrics` scrape latency (connect + request + full response)
 /// against an endpoint over `n` sessions' telemetry; also returns the
 /// payload size.
@@ -147,10 +137,15 @@ fn scrape_latency_ms(n: usize, scrapes: usize) -> (f64, usize) {
     )
     .unwrap();
     let addr = server.local_addr();
-    let payload = http_get(addr, "/metrics").len(); // warm-up + size
+    let scrape = || {
+        let response = request(addr, "GET", "/metrics", "").expect("scrape");
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "scrape failed");
+        response
+    };
+    let payload = scrape().len(); // warm-up + size
     let t = Instant::now();
     for _ in 0..scrapes {
-        http_get(addr, "/metrics");
+        scrape();
     }
     let ms = t.elapsed().as_secs_f64() * 1e3 / scrapes as f64;
     server.shutdown();

@@ -260,10 +260,6 @@ pub(crate) struct RawResult {
 pub struct FleetEngine {
     jobs: Option<Arc<JobSender>>,
     results: Receiver<RawResult>,
-    /// Kept for [`ensure_workers`](FleetEngine::ensure_workers): new
-    /// workers need the shared job queue and the result channel.
-    job_queue: Arc<Mutex<Receiver<Dispatch>>>,
-    result_tx: Sender<RawResult>,
     workers: Vec<JoinHandle<()>>,
     registry: Registry,
     rollup: Rollup,
@@ -293,8 +289,6 @@ impl FleetEngine {
         FleetEngine {
             jobs: Some(Arc::new(JobSender(job_tx))),
             results: result_rx,
-            job_queue: job_rx,
-            result_tx,
             workers,
             rollup: Rollup::into_registry(registry.clone()),
             registry,
@@ -307,23 +301,6 @@ impl FleetEngine {
     /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Grows the pool so at least `n` workers exist (never shrinks).
-    ///
-    /// For workloads whose sessions occupy a worker for their entire —
-    /// possibly unbounded — lifetime (e.g. a live ingest connection),
-    /// call this before each submission so a long session can never
-    /// starve the queue: with one worker per in-flight session, every
-    /// submitted task starts promptly.
-    pub fn ensure_workers(&mut self, n: usize) {
-        while self.workers.len() < n {
-            let who = self.workers.len();
-            let jobs = Arc::clone(&self.job_queue);
-            let results = self.result_tx.clone();
-            self.workers
-                .push(thread::spawn(move || worker_loop(who, &jobs, &results)));
-        }
     }
 
     /// Submits a monitoring session; returns its engine-assigned id.

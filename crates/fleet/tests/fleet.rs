@@ -183,51 +183,6 @@ fn fleet_sessions_match_single_thread_runs_exactly() {
 }
 
 #[test]
-fn ensure_workers_lets_blocking_sessions_exceed_the_initial_pool() {
-    use std::sync::mpsc::channel;
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    // Sessions that occupy a worker for their whole lifetime (the link
-    // server's ingest shape): each one reports in, then blocks until
-    // the test releases it — and a release only comes once *all* of
-    // them have started. On a fixed pool smaller than the session count
-    // this deadlocks; ensure_workers must grow the pool instead.
-    let mut fleet = FleetEngine::spawn(FleetConfig { workers: 1 });
-    const SESSIONS: usize = 4;
-    let (started_tx, started_rx) = channel();
-    let (release_tx, release_rx) = channel::<()>();
-    let release_rx = Arc::new(Mutex::new(release_rx));
-    for i in 0..SESSIONS {
-        fleet.poll_finished();
-        fleet.ensure_workers(fleet.pending() + 1);
-        let started = started_tx.clone();
-        let release = Arc::clone(&release_rx);
-        fleet.push_task(format!("conn-{i}"), move |_| {
-            started.send(()).expect("test alive");
-            release
-                .lock()
-                .expect("release lock")
-                .recv()
-                .map_err(|e| e.to_string())?;
-            Err("released".to_string())
-        });
-    }
-    for _ in 0..SESSIONS {
-        started_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("every session must start despite the 1-worker seed");
-    }
-    assert!(fleet.workers() >= SESSIONS);
-    for _ in 0..SESSIONS {
-        release_tx.send(()).expect("sessions alive");
-    }
-    let report = fleet.drain();
-    assert_eq!(report.len(), SESSIONS);
-    assert_eq!(report.failures().len(), SESSIONS);
-}
-
-#[test]
 fn shutdown_drains_and_ids_stay_monotonic() {
     let mut fleet = FleetEngine::spawn(FleetConfig { workers: 1 });
     let a = fleet.push_task("a", |_| Err("x".into()));

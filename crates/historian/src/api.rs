@@ -1,7 +1,6 @@
 //! The measurement-session HTTP API: the lifecycle endpoints a
-//! frontend polls, served `std`-only in the `tonos-scope` mould (one
-//! accept thread, inline handling, short IO timeouts) — extended with
-//! `POST` bodies, which telemetry scrapes never needed.
+//! frontend polls, served as a route table on [`tonos_link::http`]
+//! (the accept loop `tonos-scope` serves on too).
 //!
 //! Routes:
 //!
@@ -24,25 +23,12 @@
 //! All JSON is hand-rolled (the build is dependency-free); NaN
 //! serializes as `null`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::net::SocketAddr;
 
-use tonos_telemetry::{names, Counter, Telemetry};
+use tonos_link::http::{HttpServer, Request, Response, Routes};
+use tonos_telemetry::{json_escape, json_f64, names, Counter, Telemetry};
 
 use crate::hub::MeasurementHub;
-
-/// Accept-loop poll interval.
-const POLL: Duration = Duration::from_millis(2);
-
-/// How long one request may stall on a slow client.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Request size cap (line + headers + small JSON body).
-const MAX_REQUEST: usize = 8192;
 
 /// A running measurement-session API server.
 ///
@@ -50,11 +36,7 @@ const MAX_REQUEST: usize = 8192;
 /// [`MeasurementApi::local_addr`], stop with
 /// [`MeasurementApi::shutdown`].
 #[derive(Debug)]
-pub struct MeasurementApi {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+pub struct MeasurementApi(HttpServer);
 
 impl MeasurementApi {
     /// Binds and starts serving `hub` at `addr` (`"127.0.0.1:0"` picks
@@ -65,159 +47,27 @@ impl MeasurementApi {
     ///
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, hub: MeasurementHub, telemetry: &Telemetry) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let requests = telemetry.counter(names::HISTORIAN_API_REQUESTS);
-        let accept_thread =
-            thread::spawn(move || accept_loop(&listener, &hub, &stop_accept, &requests));
-        Ok(MeasurementApi {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let routes = ApiRoutes {
+            hub,
+            requests: telemetry.counter(names::HISTORIAN_API_REQUESTS),
+        };
+        Ok(MeasurementApi(HttpServer::bind(addr, routes)?))
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Stops the accept loop and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().expect("api accept thread never panics");
-        }
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
 }
 
-impl Drop for MeasurementApi {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    hub: &MeasurementHub,
-    stop: &AtomicBool,
-    requests: &Counter,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                requests.inc();
-                let _ = serve(stream, hub);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
-    }
-}
-
-fn serve(mut stream: TcpStream, hub: &MeasurementHub) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = read_request(&mut stream)?;
-    let (status, body) = match parse_request(&request) {
-        None => ("400 Bad Request", err_json("malformed request")),
-        Some((method, target, body)) => route(method, target, body, hub),
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())
-}
-
-/// Reads one request: headers, then as much body as `Content-Length`
-/// declares (bounded by the request cap).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if request_complete(&buf) || buf.len() >= MAX_REQUEST {
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                break
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
-}
-
-/// Headers terminated, and the declared body fully buffered.
-fn request_complete(buf: &[u8]) -> bool {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return false;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]);
-    let declared = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    buf.len() >= head_end + 4 + declared
-}
-
-/// `"POST /x HTTP/1.1\r\n...\r\n\r\nBODY"` →
-/// `("POST", "/x", "BODY")`. The target keeps its query string.
-fn parse_request(request: &str) -> Option<(&str, &str, &str)> {
-    let line = request.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let target = parts.next()?;
-    let body = request.split_once("\r\n\r\n").map_or("", |(_, body)| body);
-    Some((method, target, body))
-}
-
-fn err_json(msg: &str) -> String {
-    format!("{{\"error\":{}}}", json_str(msg))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `f64` as JSON: NaN (the concealment marker) and infinities become
-/// `null`, which is what a plotting frontend wants for a break.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+struct ApiRoutes {
+    hub: MeasurementHub,
+    requests: Counter,
 }
 
 fn json_opt_u64(x: Option<u64>) -> String {
@@ -246,13 +96,13 @@ fn query_u64(query: &str, name: &str) -> Option<u64> {
 fn status_json(st: &crate::hub::SessionStatus) -> String {
     format!(
         concat!(
-            "{{\"id\":{},\"device\":{},\"state\":{},\"sample_rate_hz\":{},",
+            "{{\"id\":{},\"device\":{},\"state\":\"{}\",\"sample_rate_hz\":{},",
             "\"first_clock\":{},\"last_clock\":{},\"samples\":{},\"clean\":{},",
             "\"concealed\":{},\"flushed_records\":{},\"error\":{}}}"
         ),
         st.id,
         st.device,
-        json_str(st.state.as_str()),
+        json_escape(st.state.as_str()),
         json_f64(st.sample_rate_hz),
         json_opt_u64(st.first_clock),
         json_opt_u64(st.last_clock),
@@ -262,79 +112,85 @@ fn status_json(st: &crate::hub::SessionStatus) -> String {
         st.flushed_records,
         st.error
             .as_deref()
-            .map_or_else(|| "null".to_string(), json_str),
+            .map_or_else(|| "null".to_string(), |e| format!("\"{}\"", json_escape(e))),
     )
 }
 
-fn route(method: &str, target: &str, body: &str, hub: &MeasurementHub) -> (&'static str, String) {
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    match (method, path) {
-        ("POST", "/sessions/prepare") => match extract_u64(body, "device") {
-            Some(device) => {
-                let id = hub.prepare(device);
-                ("200 OK", format!("{{\"id\":{id}}}"))
+impl Routes for ApiRoutes {
+    fn accepted(&self) {
+        self.requests.inc();
+    }
+
+    fn respond(&self, request: &Request<'_>) -> Response {
+        let (hub, method) = (&self.hub, request.method);
+        match (method, request.path) {
+            ("POST", "/sessions/prepare") => match extract_u64(request.body, "device") {
+                Some(device) => {
+                    let id = hub.prepare(device);
+                    Response::json("200 OK", format!("{{\"id\":{id}}}"))
+                }
+                None => Response::error("400 Bad Request", "body must carry \"device\""),
+            },
+            ("GET", "/sessions") => {
+                let items: Vec<String> = hub.list().iter().map(status_json).collect();
+                Response::json("200 OK", format!("[{}]", items.join(",")))
             }
-            None => ("400 Bad Request", err_json("body must carry \"device\"")),
-        },
-        ("GET", "/sessions") => {
-            let items: Vec<String> = hub.list().iter().map(status_json).collect();
-            ("200 OK", format!("[{}]", items.join(",")))
-        }
-        (_, path) => {
-            let Some(rest) = path.strip_prefix("/sessions/") else {
-                return ("404 Not Found", err_json("not found"));
-            };
-            let Some((id_str, action)) = rest.split_once('/') else {
-                return ("404 Not Found", err_json("not found"));
-            };
-            let Ok(id) = id_str.parse::<u64>() else {
-                return ("400 Bad Request", err_json("session id must be an integer"));
-            };
-            match (method, action) {
-                ("POST", "start") => lifecycle(hub.start(id)),
-                ("POST", "retry") => lifecycle(hub.retry(id)),
-                ("POST", "stop") => match hub.stop(id) {
-                    Ok(st) => ("200 OK", status_json(&st)),
-                    Err(e) => ("409 Conflict", err_json(&e)),
-                },
-                ("GET", "status") => match hub.status(id) {
-                    Some(st) => ("200 OK", status_json(&st)),
-                    None => ("404 Not Found", err_json("unknown session")),
-                },
-                ("GET", "readings") => match hub.readings(id) {
-                    Some(readings) => {
-                        let items: Vec<String> = readings
-                            .iter()
-                            .map(|r| {
-                                format!(
-                                    "{{\"clock\":{},\"mmhg\":{},\"clean\":{}}}",
-                                    r.clock,
-                                    json_f64(r.mmhg),
-                                    r.clean,
-                                )
-                            })
-                            .collect();
-                        ("200 OK", format!("[{}]", items.join(",")))
-                    }
-                    None => ("404 Not Found", err_json("unknown session")),
-                },
-                ("GET", "waveform") => waveform(hub, id, query),
-                _ => ("404 Not Found", err_json("not found")),
+            (_, path) => {
+                let Some(rest) = path.strip_prefix("/sessions/") else {
+                    return Response::error("404 Not Found", "not found");
+                };
+                let Some((id_str, action)) = rest.split_once('/') else {
+                    return Response::error("404 Not Found", "not found");
+                };
+                let Ok(id) = id_str.parse::<u64>() else {
+                    return Response::error("400 Bad Request", "session id must be an integer");
+                };
+                match (method, action) {
+                    ("POST", "start") => lifecycle(hub.start(id)),
+                    ("POST", "retry") => lifecycle(hub.retry(id)),
+                    ("POST", "stop") => match hub.stop(id) {
+                        Ok(st) => Response::json("200 OK", status_json(&st)),
+                        Err(e) => Response::error("409 Conflict", &e),
+                    },
+                    ("GET", "status") => match hub.status(id) {
+                        Some(st) => Response::json("200 OK", status_json(&st)),
+                        None => Response::error("404 Not Found", "unknown session"),
+                    },
+                    ("GET", "readings") => match hub.readings(id) {
+                        Some(readings) => {
+                            let items: Vec<String> = readings
+                                .iter()
+                                .map(|r| {
+                                    format!(
+                                        "{{\"clock\":{},\"mmhg\":{},\"clean\":{}}}",
+                                        r.clock,
+                                        json_f64(r.mmhg),
+                                        r.clean,
+                                    )
+                                })
+                                .collect();
+                            Response::json("200 OK", format!("[{}]", items.join(",")))
+                        }
+                        None => Response::error("404 Not Found", "unknown session"),
+                    },
+                    ("GET", "waveform") => waveform(hub, id, request.query),
+                    _ => Response::error("404 Not Found", "not found"),
+                }
             }
         }
     }
 }
 
-fn lifecycle(result: Result<(), String>) -> (&'static str, String) {
+fn lifecycle(result: Result<(), String>) -> Response {
     match result {
-        Ok(()) => ("200 OK", "{\"ok\":true}".to_string()),
-        Err(e) => ("409 Conflict", err_json(&e)),
+        Ok(()) => Response::json("200 OK", "{\"ok\":true}".to_string()),
+        Err(e) => Response::error("409 Conflict", &e),
     }
 }
 
-fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String) {
+fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> Response {
     let Some(st) = hub.status(id) else {
-        return ("404 Not Found", err_json("unknown session"));
+        return Response::error("404 Not Found", "unknown session");
     };
     let snap = hub.historian().snapshot();
     let span = snap.session_span(st.device, id);
@@ -361,7 +217,7 @@ fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String
                     )
                 })
                 .collect();
-            (
+            Response::json(
                 "200 OK",
                 format!(
                     concat!(
@@ -379,7 +235,7 @@ fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String
                 ),
             )
         }
-        Err(e) => ("500 Internal Server Error", err_json(&e.to_string())),
+        Err(e) => Response::error("500 Internal Server Error", &e.to_string()),
     }
 }
 
@@ -389,23 +245,8 @@ mod tests {
     use crate::hub::HubConfig;
     use crate::scratch_dir;
     use crate::store::{Historian, StoreConfig};
+    use tonos_link::http;
     use tonos_link::{HostSample, IngestTap, SampleFlag, TapSession};
-
-    fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect to api server");
-        write!(
-            stream,
-            "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len(),
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("response has a header terminator");
-        (head.to_string(), body.to_string())
-    }
 
     #[test]
     fn body_and_query_extraction() {
@@ -425,16 +266,51 @@ mod tests {
         let hub = MeasurementHub::new(historian, HubConfig::default(), &t);
         let api = MeasurementApi::bind("127.0.0.1:0", hub.clone(), &t).unwrap();
         let addr = api.local_addr();
+        let request = |method, target, body| http::request(addr, method, target, body).unwrap();
 
-        let (head, body) = request(addr, "POST", "/sessions/prepare", "{\"device\": 5}");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert_eq!(body, "{\"id\":1}");
+        // Errors before any session exists.
+        assert_eq!(
+            http::send(addr, b"\r\n\r\n").unwrap(),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 29\r\nConnection: close\r\n\r\n{\"error\":\"malformed request\"}"
+        );
+        assert_eq!(
+            request("POST", "/sessions/prepare", "{}"),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 38\r\nConnection: close\r\n\r\n{\"error\":\"body must carry \\\"device\\\"\"}"
+        );
+        assert_eq!(
+            request("GET", "/sessions/abc/status", ""),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 41\r\nConnection: close\r\n\r\n{\"error\":\"session id must be an integer\"}"
+        );
+        assert_eq!(
+            request("GET", "/sessions/9/status", ""),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: 27\r\nConnection: close\r\n\r\n{\"error\":\"unknown session\"}"
+        );
 
-        let (head, _) = request(addr, "POST", "/sessions/1/start", "");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        // A body of usize::MAX bytes declared and none sent: read up to
+        // the cap, answered, and the server keeps serving.
+        let hostile = b"GET /sessions HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        let _ = http::send(addr, hostile);
+
+        assert_eq!(
+            request("POST", "/sessions/prepare", "{\"device\": 5}"),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+             Connection: close\r\n\r\n{\"id\":1}"
+        );
+        assert_eq!(
+            request("POST", "/sessions/1/start", ""),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: close\r\n\r\n{\"ok\":true}"
+        );
         // Double-start conflicts.
-        let (head, _) = request(addr, "POST", "/sessions/1/start", "");
-        assert!(head.starts_with("HTTP/1.1 409"), "{head}");
+        assert_eq!(
+            request("POST", "/sessions/1/start", ""),
+            "HTTP/1.1 409 Conflict\r\nContent-Type: application/json\r\nContent-Length: 48\r\n\
+             Connection: close\r\n\r\n{\"error\":\"session 1 is measuring, not prepared\"}"
+        );
 
         // Ingest through the tap while measuring.
         let tap = TapSession {
@@ -452,27 +328,35 @@ mod tests {
             .collect();
         hub.on_samples(&tap, &samples);
 
-        let (_, body) = request(addr, "GET", "/sessions/1/status", "");
+        let response = request("GET", "/sessions/1/status", "");
+        let body = http::body(&response);
         assert!(body.contains("\"state\":\"measuring\""), "{body}");
         assert!(body.contains("\"samples\":50"), "{body}");
 
-        let (_, body) = request(addr, "GET", "/sessions/1/readings", "");
-        assert!(body.contains("\"mmhg\":149"), "{body}");
+        let response = request("GET", "/sessions/1/readings", "");
+        assert!(http::body(&response).contains("\"mmhg\":149"), "{response}");
 
-        let (head, body) = request(addr, "POST", "/sessions/1/stop", "");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(body.contains("\"state\":\"complete\""), "{body}");
+        let response = request("POST", "/sessions/1/stop", "");
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(response.contains("\"state\":\"complete\""), "{response}");
 
-        let (_, body) = request(addr, "GET", "/sessions/1/waveform?max_points=10", "");
+        let response = request("GET", "/sessions/1/waveform?max_points=10", "");
+        let body = http::body(&response);
         assert!(body.contains("\"points\":["), "{body}");
         // Bounded by the budget.
         assert!(body.matches("\"clock\":").count() <= 10, "{body}");
 
-        let (_, body) = request(addr, "GET", "/sessions", "");
-        assert!(body.starts_with("[{\"id\":1"), "{body}");
+        let response = request("GET", "/sessions", "");
+        assert!(
+            http::body(&response).starts_with("[{\"id\":1"),
+            "{response}"
+        );
 
-        let (head, _) = request(addr, "GET", "/nope", "");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        assert_eq!(
+            request("GET", "/nope", ""),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: 21\r\nConnection: close\r\n\r\n{\"error\":\"not found\"}"
+        );
         api.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

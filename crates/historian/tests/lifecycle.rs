@@ -6,13 +6,14 @@
 //! bit for bit.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use tonos_core::config::SystemConfig;
 use tonos_historian::{Historian, HubConfig, MeasurementApi, MeasurementHub, StoreConfig};
+use tonos_link::http::{body, request};
 use tonos_link::{
     DeviceSimulator, FaultConfig, FaultyTransport, GapPolicy, HostPipeline, HostSample,
     LinkCalibration, LinkKey, LinkServer, LinkServerConfig,
@@ -22,20 +23,6 @@ use tonos_telemetry::Telemetry;
 
 const DEVICE: u64 = 42;
 const DURATION_S: f64 = 1.0;
-
-fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to api");
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len(),
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("http response");
-    (head.to_string(), body.to_string())
-}
 
 /// The lossless truth: the identical device stream pushed straight
 /// through an in-process pipeline, no wire at all.
@@ -90,11 +77,16 @@ fn measurement_session_end_to_end_over_a_faulty_link() {
     let link_addr = server.local_addr();
 
     // prepare → start over HTTP.
-    let (head, body) = http(api_addr, "POST", "/sessions/prepare", "{\"device\": 42}");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert_eq!(body, "{\"id\":1}");
-    let (head, _) = http(api_addr, "POST", "/sessions/1/start", "");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(
+        request(api_addr, "POST", "/sessions/prepare", "{\"device\": 42}").unwrap(),
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+         Connection: close\r\n\r\n{\"id\":1}"
+    );
+    assert_eq!(
+        request(api_addr, "POST", "/sessions/1/start", "").unwrap(),
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+         Connection: close\r\n\r\n{\"ok\":true}"
+    );
 
     // The device streams through a lossy wire. The first packets (the
     // authenticated hello and the stream head) go through clean so the
@@ -147,9 +139,10 @@ fn measurement_session_end_to_end_over_a_faulty_link() {
     // session — the lifecycle a frontend actually runs.
     let deadline = Instant::now() + Duration::from_secs(10);
     let final_body = loop {
-        let (_, body) = http(api_addr, "GET", "/sessions/1/status", "");
+        let response = request(api_addr, "GET", "/sessions/1/status", "").unwrap();
+        let body = body(&response);
         if body.contains("\"state\":\"complete\"") {
-            break body;
+            break body.to_string();
         }
         assert!(
             Instant::now() < deadline,
@@ -193,7 +186,8 @@ fn measurement_session_end_to_end_over_a_faulty_link() {
 
     // The ranged HTTP read is bounded by its point budget regardless
     // of recording length.
-    let (_, body) = http(api_addr, "GET", "/sessions/1/waveform?max_points=32", "");
+    let response = request(api_addr, "GET", "/sessions/1/waveform?max_points=32", "").unwrap();
+    let body = body(&response);
     let points = body.matches("\"clock\":").count();
     assert!(points <= 32, "unbounded waveform read: {points} points");
     assert!(points > 0, "{body}");

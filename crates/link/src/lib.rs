@@ -61,6 +61,7 @@ pub mod decode;
 pub mod device;
 pub mod encode;
 pub mod fault;
+pub mod http;
 pub mod pipeline;
 pub mod query;
 pub mod server;

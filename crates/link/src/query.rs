@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use tonos_telemetry::{json_escape, json_f64};
+
 use crate::pipeline::LinkHealth;
 
 /// One connection's live state inside the [`LinkDirectory`].
@@ -126,7 +128,7 @@ impl LinkStatus {
             self.health.stream_resets,
             self.health.beats,
             self.health.alarms,
-            json_number(self.health.pulse_rate_bpm),
+            json_f64(self.health.pulse_rate_bpm),
         )
     }
 }
@@ -259,29 +261,6 @@ impl LinkDirectory {
         }
         out.push(']');
         out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON has no NaN/Infinity literals; non-finite values become `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

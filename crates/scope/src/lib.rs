@@ -13,7 +13,8 @@
 //!   under `FakeClock`). Replay APIs reconstruct any counter, gauge, or
 //!   histogram series over the retained window — the last two minutes of
 //!   history when an alarm pages, with a hard memory ceiling.
-//! * [`ScopeServer`] — a hand-rolled HTTP/1.1 endpoint serving
+//! * [`ScopeServer`] — an HTTP/1.1 endpoint on
+//!   [`tonos_link::http`] serving
 //!   `/metrics` (Prometheus text exposition 0.0.4), `/health` (JSON
 //!   summary), `/links` (per-connection
 //!   [`LinkStatus`](tonos_link::LinkStatus) JSON, mid-ingest included,

@@ -1,5 +1,5 @@
-//! The exposition endpoint: a hand-rolled HTTP/1.1 server on
-//! `std::net` serving live telemetry to scrapers and operators.
+//! The exposition endpoint: live telemetry for scrapers and operators,
+//! served as a route table on [`tonos_link::http`].
 //!
 //! Routes:
 //!
@@ -16,34 +16,19 @@
 //! * `GET /flight` — the attached [`FlightRecorder`]'s ring status.
 //!
 //! The server never mutates the observed registry: a scrape is a read.
-//! Connections are handled inline on the accept thread under short
-//! read/write timeouts — scrape payloads are small and the handler
-//! allocation-light, so a dedicated thread per scrape would buy
-//! nothing; the timeouts bound how long a stalled client can hold the
-//! loop. The same loop drives the flight recorder's
-//! [`maybe_tick`](FlightRecorder::maybe_tick), so attaching a recorder
-//! is all it takes to get periodic history capture.
+//! The shared accept loop's per-iteration hook drives the flight
+//! recorder's [`maybe_tick`](FlightRecorder::maybe_tick), so attaching
+//! a recorder is all it takes to get periodic history capture.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
+use tonos_link::http::{HttpServer, Request, Response, Routes};
 use tonos_link::LinkDirectory;
 use tonos_telemetry::{prometheus_text, Registry};
 
 use crate::recorder::FlightRecorder;
-
-/// Accept-loop poll interval (also the recorder-tick granularity).
-const POLL: Duration = Duration::from_millis(2);
-
-/// How long a single scrape may stall on a slow client.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Request size cap: a scrape request line + headers, nothing more.
-const MAX_REQUEST: usize = 4096;
 
 /// What the endpoint exposes: a registry (required) plus optional
 /// live-link directory and flight recorder.
@@ -95,40 +80,32 @@ impl std::fmt::Debug for ScopeSources {
 /// [`ScopeServer::local_addr`], stop with [`ScopeServer::shutdown`].
 #[derive(Debug)]
 pub struct ScopeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    server: HttpServer,
     requests: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl ScopeServer {
-    /// Binds and starts serving. `addr` follows [`TcpListener::bind`]
+    /// Binds and starts serving. `addr` follows [`std::net::TcpListener::bind`]
     /// conventions (`"127.0.0.1:0"` picks an ephemeral port).
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, sources: ScopeSources) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let requests = Arc::new(AtomicU64::new(0));
-        let stop_accept = Arc::clone(&stop);
-        let req_accept = Arc::clone(&requests);
-        let accept_thread =
-            thread::spawn(move || accept_loop(&listener, &sources, &stop_accept, &req_accept));
+        let routes = ScopeRoutes {
+            sources,
+            requests: Arc::clone(&requests),
+        };
         Ok(ScopeServer {
-            addr: local,
-            stop,
+            server: HttpServer::bind(addr, routes)?,
             requests,
-            accept_thread: Some(accept_thread),
         })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Requests served so far (any route, errors included).
@@ -137,129 +114,52 @@ impl ScopeServer {
     }
 
     /// Stops the accept loop and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().expect("scope accept thread never panics");
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-impl Drop for ScopeServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
+struct ScopeRoutes {
+    sources: ScopeSources,
+    requests: Arc<AtomicU64>,
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    sources: &ScopeSources,
-    stop: &AtomicBool,
-    requests: &AtomicU64,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        if let Some(recorder) = &sources.recorder {
+impl Routes for ScopeRoutes {
+    fn respond(&self, request: &Request<'_>) -> Response {
+        if request.method != "GET" {
+            return Response::error("405 Method Not Allowed", "method not allowed");
+        }
+        let sources = &self.sources;
+        match request.path {
+            "/metrics" => Response {
+                status: "200 OK",
+                content_type: "text/plain; version=0.0.4",
+                body: metrics_body(sources),
+            },
+            "/health" => Response::json("200 OK", health_body(sources)),
+            "/links" => Response::json(
+                "200 OK",
+                sources
+                    .directory
+                    .as_ref()
+                    .map_or_else(|| "[]".to_string(), |d| d.to_json()),
+            ),
+            "/flight" => Response::json("200 OK", flight_body(sources)),
+            _ => Response::error("404 Not Found", "not found"),
+        }
+    }
+
+    fn accepted(&self) {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn tick(&self) {
+        if let Some(recorder) = &self.sources.recorder {
             recorder
                 .lock()
                 .expect("flight recorder lock poisoned")
                 .maybe_tick();
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                requests.fetch_add(1, Ordering::SeqCst);
-                // Inline handling: scrapes are tiny; the timeouts bound
-                // how long a stalled client can hold the loop.
-                let _ = serve(stream, sources);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
-    }
-}
-
-/// Reads one request and writes one response; errors only on I/O.
-fn serve(mut stream: TcpStream, sources: &ScopeSources) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = read_request(&mut stream)?;
-    let (status, content_type, body) = match parse_request_line(&request) {
-        None => (
-            "400 Bad Request",
-            "application/json",
-            "{\"error\":\"malformed request\"}".to_string(),
-        ),
-        Some((method, _)) if method != "GET" => (
-            "405 Method Not Allowed",
-            "application/json",
-            "{\"error\":\"method not allowed\"}".to_string(),
-        ),
-        Some((_, path)) => route(path, sources),
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())
-}
-
-/// Reads until the header terminator, EOF, timeout, or the size cap.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= MAX_REQUEST {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                break
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
-}
-
-/// `"GET /metrics HTTP/1.1" → ("GET", "/metrics")`, query string
-/// stripped. `None` on anything that is not a two-token request line.
-fn parse_request_line(request: &str) -> Option<(&str, &str)> {
-    let line = request.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let target = parts.next()?;
-    let path = target.split('?').next().unwrap_or(target);
-    Some((method, path))
-}
-
-/// Dispatches a GET to its payload.
-fn route(path: &str, sources: &ScopeSources) -> (&'static str, &'static str, String) {
-    match path {
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4", metrics_body(sources)),
-        "/health" => ("200 OK", "application/json", health_body(sources)),
-        "/links" => (
-            "200 OK",
-            "application/json",
-            sources
-                .directory
-                .as_ref()
-                .map_or_else(|| "[]".to_string(), |d| d.to_json()),
-        ),
-        "/flight" => ("200 OK", "application/json", flight_body(sources)),
-        _ => (
-            "404 Not Found",
-            "application/json",
-            "{\"error\":\"not found\"}".to_string(),
-        ),
     }
 }
 
@@ -413,31 +313,9 @@ fn flight_body(sources: &ScopeSources) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect to scope server");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("response has a header terminator");
-        (head.to_string(), body.to_string())
-    }
-
-    #[test]
-    fn request_line_parsing() {
-        assert_eq!(
-            parse_request_line("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"),
-            Some(("GET", "/metrics"))
-        );
-        assert_eq!(
-            parse_request_line("GET /links?live=1 HTTP/1.1\r\n\r\n"),
-            Some(("GET", "/links"))
-        );
-        assert_eq!(parse_request_line(""), None);
-        assert_eq!(parse_request_line("GET"), None);
-    }
+    use std::thread;
+    use std::time::Duration;
+    use tonos_link::http::{body, request, send};
 
     #[test]
     fn serves_metrics_health_links_and_404() {
@@ -447,27 +325,33 @@ mod tests {
             ScopeServer::bind("127.0.0.1:0", ScopeSources::registry(registry.clone())).unwrap();
         let addr = server.local_addr();
 
-        let (head, body) = http_get(addr, "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "head: {head}");
-        assert!(head.contains("text/plain; version=0.0.4"));
-        assert!(body.contains("tonos_uptime_seconds"));
-        assert!(body.contains("tonos_scope_test_total 9"));
+        let metrics = request(addr, "GET", "/metrics", "").unwrap();
+        assert!(
+            metrics.starts_with("HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n")
+        );
+        assert!(metrics.contains("\ntonos_uptime_seconds"));
+        assert!(metrics.contains("\ntonos_scope_test_total 9\n"));
 
-        let (head, body) = http_get(addr, "/health");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert!(body.starts_with("{\"status\":\"ok\""));
-        assert!(body.contains("\"links_live\":0"));
+        let health = request(addr, "GET", "/health", "").unwrap();
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"));
+        assert!(body(&health).starts_with("{\"status\":\"ok\""));
+        assert!(health.contains("\"links_live\":0"));
 
-        let (head, body) = http_get(addr, "/links");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert_eq!(body, "[]");
-
-        let (head, body) = http_get(addr, "/flight");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert_eq!(body, "{\"enabled\":false}");
-
-        let (head, _) = http_get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"));
+        assert_eq!(
+            request(addr, "GET", "/links", "").unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             Connection: close\r\n\r\n[]"
+        );
+        assert_eq!(
+            request(addr, "GET", "/flight", "").unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 17\r\n\
+             Connection: close\r\n\r\n{\"enabled\":false}"
+        );
+        assert_eq!(
+            request(addr, "GET", "/nope", "").unwrap(),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: 21\r\nConnection: close\r\n\r\n{\"error\":\"not found\"}"
+        );
 
         assert_eq!(server.requests(), 5);
         server.shutdown();
@@ -479,17 +363,16 @@ mod tests {
             ScopeServer::bind("127.0.0.1:0", ScopeSources::registry(Registry::new())).unwrap();
         let addr = server.local_addr();
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /metrics HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"), "got: {response}");
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 400"), "got: {response}");
+        assert_eq!(
+            request(addr, "POST", "/metrics", "").unwrap(),
+            "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+             Content-Length: 30\r\nConnection: close\r\n\r\n{\"error\":\"method not allowed\"}"
+        );
+        assert_eq!(
+            send(addr, b"\r\n\r\n").unwrap(),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 29\r\nConnection: close\r\n\r\n{\"error\":\"malformed request\"}"
+        );
         server.shutdown();
     }
 
@@ -520,9 +403,9 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(5));
         }
-        let (_, body) = http_get(server.local_addr(), "/flight");
-        assert!(body.starts_with("{\"enabled\":true"), "body: {body}");
-        assert!(body.contains("\"capacity\":200"));
+        let flight = request(server.local_addr(), "GET", "/flight", "").unwrap();
+        assert!(body(&flight).starts_with("{\"enabled\":true"), "{flight}");
+        assert!(flight.contains("\"capacity\":200"));
         server.shutdown();
     }
 }

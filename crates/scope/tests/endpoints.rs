@@ -3,13 +3,14 @@
 //! fleet registry and link directory serves `/metrics`, `/health`, and
 //! `/links` — all queried mid-ingest over real HTTP.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use tonos_link::http::{body, request};
 use tonos_link::{FaultConfig, FaultyTransport, LinkServer, LinkServerConfig};
 use tonos_scope::{FlightRecorder, RecorderConfig, ScopeServer, ScopeSources};
 
@@ -18,28 +19,20 @@ const FRAME_BITS: usize = 1024;
 const PHASE1_FRAMES: u32 = 20;
 const PHASE2_FRAMES: u32 = 30;
 
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to scope server");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header terminator");
-    (head.to_string(), body.to_string())
-}
-
 /// Polls an endpoint until `pred` accepts its body (~10 s), panicking
 /// with the last body on timeout.
 fn wait_body(addr: SocketAddr, path: &str, what: &str, pred: impl Fn(&str) -> bool) -> String {
     let mut last = String::new();
     for _ in 0..1_000 {
-        let (head, body) = http_get(addr, path);
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{path}: {head}");
-        if pred(&body) {
-            return body;
+        let response = request(addr, "GET", path, "").expect("scope request");
+        assert!(
+            response.starts_with("HTTP/1.1 200 OK"),
+            "{path}: {response}"
+        );
+        last = body(&response).to_string();
+        if pred(&last) {
+            return last;
         }
-        last = body;
         thread::sleep(Duration::from_millis(10));
     }
     panic!("timed out waiting for {what}; last {path} body: {last}");
@@ -224,7 +217,8 @@ fn live_endpoints_observe_eight_faulty_devices_mid_ingest() {
 
     // The recorder ticked through all of it and holds replayable
     // history of the fleet registry.
-    let (_, flight) = http_get(scope_addr, "/flight");
+    let response = request(scope_addr, "GET", "/flight", "").expect("scope request");
+    let flight = body(&response);
     assert!(flight.starts_with("{\"enabled\":true"), "flight: {flight}");
     // On a fast machine the whole ingest can outrun a 20 ms tick
     // interval, so wait for the accept loop (still running) to

@@ -3,26 +3,13 @@
 //! and be capturable by the flight recorder — the storage layer is
 //! observable through the same endpoints as the rest of the system.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use tonos_historian::{Historian, HubConfig, MeasurementHub, StoreConfig};
+use tonos_link::http::{body, request};
 use tonos_mems::units::MillimetersHg;
 use tonos_scope::{FlightRecorder, RecorderConfig, ScopeServer, ScopeSources};
 use tonos_telemetry::{names, Registry};
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to scope server");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response
-        .split_once("\r\n\r\n")
-        .expect("response has headers")
-        .1
-        .to_string()
-}
 
 #[test]
 fn historian_counters_reach_metrics_and_the_flight_recorder() {
@@ -66,7 +53,8 @@ fn historian_counters_reach_metrics_and_the_flight_recorder() {
         ScopeSources::registry(registry).with_recorder(std::sync::Arc::clone(&recorder)),
     )
     .unwrap();
-    let body = http_get(server.local_addr(), "/metrics");
+    let response = request(server.local_addr(), "GET", "/metrics", "").expect("scope request");
+    let body = body(&response);
 
     // Counters (`_total`), gauges (bare), and the fsync histogram all
     // present and nonzero where the workload moved them.

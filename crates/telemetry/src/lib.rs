@@ -63,4 +63,5 @@ pub use instrument::{Counter, Gauge, Histogram, SpanGuard, SpanTimer};
 pub use journal::{Event, Journal, Severity};
 pub use registry::{names, HealthReport, Registry, StageTiming, Telemetry};
 pub use rollup::Rollup;
+pub use snapshot::{json_escape, json_f64};
 pub use snapshot::{BucketCount, CounterValue, GaugeValue, HistogramSummary, TelemetrySnapshot};

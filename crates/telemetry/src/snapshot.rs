@@ -157,7 +157,7 @@ impl TelemetrySnapshot {
         out.push_str("{\n");
         out.push_str(&format!(
             "  \"uptime_s\": {},\n",
-            fmt_f64(self.uptime.as_secs_f64())
+            json_f64(self.uptime.as_secs_f64())
         ));
 
         out.push_str("  \"counters\": {");
@@ -181,7 +181,7 @@ impl TelemetrySnapshot {
             out.push_str(&format!(
                 "\n    \"{}\": {}",
                 json_escape(&g.name),
-                fmt_f64(g.value)
+                json_f64(g.value)
             ));
         }
         out.push_str(if self.gauges.is_empty() {
@@ -200,7 +200,7 @@ impl TelemetrySnapshot {
                  \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
                 json_escape(&h.name),
                 h.count,
-                fmt_f64(h.sum),
+                json_f64(h.sum),
                 fmt_opt_f64(h.min),
                 fmt_opt_f64(h.max),
                 fmt_opt_f64(h.p50),
@@ -234,7 +234,7 @@ impl TelemetrySnapshot {
                 "\n    {{\"seq\": {}, \"t_s\": {}, \"severity\": \"{}\", \"source\": \"{}\", \
                  \"message\": \"{}\"}}",
                 e.seq,
-                fmt_f64(e.at.as_secs_f64()),
+                json_f64(e.at.as_secs_f64()),
                 e.severity.as_str(),
                 json_escape(e.source),
                 json_escape(&e.message),
@@ -258,7 +258,7 @@ impl TelemetrySnapshot {
         writeln!(
             w,
             "meta,registry,uptime_s,{}",
-            fmt_f64(self.uptime.as_secs_f64())
+            json_f64(self.uptime.as_secs_f64())
         )?;
         writeln!(w, "meta,registry,total_events,{}", self.total_events)?;
         writeln!(w, "meta,registry,dropped_events,{}", self.dropped_events)?;
@@ -270,13 +270,13 @@ impl TelemetrySnapshot {
                 w,
                 "gauge,{},value,{}",
                 csv_escape(&g.name),
-                fmt_f64(g.value)
+                json_f64(g.value)
             )?;
         }
         for h in &self.histograms {
             let name = csv_escape(&h.name);
             writeln!(w, "histogram,{name},count,{}", h.count)?;
-            writeln!(w, "histogram,{name},sum,{}", fmt_f64(h.sum))?;
+            writeln!(w, "histogram,{name},sum,{}", json_f64(h.sum))?;
             for (field, value) in [
                 ("min", h.min),
                 ("max", h.max),
@@ -293,7 +293,7 @@ impl TelemetrySnapshot {
                 "event,{},{}@{},{}",
                 csv_escape(e.source),
                 e.severity.as_str(),
-                fmt_f64(e.at.as_secs_f64()),
+                json_f64(e.at.as_secs_f64()),
                 csv_escape(&e.message),
             )?;
         }
@@ -303,7 +303,7 @@ impl TelemetrySnapshot {
 
 /// Formats a float for JSON/CSV: finite values via Rust's shortest
 /// round-trip formatting, non-finite as `null`.
-fn fmt_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -312,11 +312,11 @@ fn fmt_f64(v: f64) -> String {
 }
 
 fn fmt_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), fmt_f64)
+    v.map_or_else(|| "null".to_string(), json_f64)
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -488,8 +488,8 @@ mod tests {
 
     #[test]
     fn non_finite_values_serialize_as_null() {
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(fmt_opt_f64(None), "null");
     }
 

@@ -7,12 +7,13 @@
 //! Run with: `cargo run --release --example historian_replay`
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use tonos::historian::{Historian, HubConfig, MeasurementApi, MeasurementHub, StoreConfig};
+use tonos::link::http::{body, request};
 use tonos::link::{
     DeviceSimulator, FaultConfig, FaultyTransport, LinkKey, LinkServer, LinkServerConfig,
 };
@@ -22,22 +23,6 @@ use tonos::telemetry::Telemetry;
 
 const DEVICE: u64 = 7;
 const DURATION_S: f64 = 2.0;
-
-/// One blocking HTTP/1.1 request against the measurement API.
-fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect api");
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nHost: replay\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len(),
-    )
-    .expect("request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("response");
-    response
-        .split_once("\r\n\r\n")
-        .map_or(String::new(), |(_, b)| b.to_string())
-}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("tonos-historian-replay-{}", std::process::id()));
@@ -77,11 +62,14 @@ fn main() {
     // prepare → start over HTTP, exactly as a frontend would.
     println!(
         "POST /sessions/prepare -> {}",
-        http(api_addr, "POST", "/sessions/prepare", "{\"device\": 7}")
+        body(
+            &request(api_addr, "POST", "/sessions/prepare", "{\"device\": 7}")
+                .expect("api request")
+        )
     );
     println!(
         "POST /sessions/1/start -> {}",
-        http(api_addr, "POST", "/sessions/1/start", "")
+        body(&request(api_addr, "POST", "/sessions/1/start", "").expect("api request"))
     );
 
     // The device streams through a mildly lossy wire (hello unmangled
@@ -125,14 +113,15 @@ fn main() {
     thread::sleep(Duration::from_millis(150));
     println!(
         "GET  /sessions/1/readings -> {}",
-        http(api_addr, "GET", "/sessions/1/readings", "")
+        body(&request(api_addr, "GET", "/sessions/1/readings", "").expect("api request"))
     );
     device_thread.join().expect("device thread");
     let deadline = Instant::now() + Duration::from_secs(10);
     let status = loop {
-        let body = http(api_addr, "GET", "/sessions/1/status", "");
+        let response = request(api_addr, "GET", "/sessions/1/status", "").expect("api request");
+        let body = body(&response);
         if body.contains("\"state\":\"complete\"") || Instant::now() > deadline {
-            break body;
+            break body.to_string();
         }
         thread::sleep(Duration::from_millis(20));
     };

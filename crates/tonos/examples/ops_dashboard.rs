@@ -9,12 +9,13 @@
 //! While it runs, the printed scope address answers real HTTP — point
 //! `curl` or a Prometheus scraper at it from another terminal.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use tonos::link::http::{body, request};
 use tonos::link::{
     DeviceSimulator, FaultConfig, FaultyTransport, LinkCalibration, LinkServer, LinkServerConfig,
 };
@@ -25,20 +26,6 @@ use tonos::system::config::SystemConfig;
 
 const DEVICES: usize = 3;
 const DURATION_S: f64 = 6.0;
-
-/// One blocking HTTP/1.1 GET against the scope endpoint.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect scope");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: dashboard\r\n\r\n").expect("request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("response");
-    response
-}
-
-/// Body of a 200 response (everything after the blank line).
-fn body(response: &str) -> &str {
-    response.split_once("\r\n\r\n").map_or("", |(_, b)| b)
-}
 
 fn main() {
     let config = SystemConfig::paper_default();
@@ -107,7 +94,7 @@ fn main() {
     // timing the links may already show closed here — a real ward's
     // would stay live for the monitoring duration.)
     thread::sleep(Duration::from_millis(1500));
-    let links = http_get(scope_addr, "/links");
+    let links = request(scope_addr, "GET", "/links", "").expect("scope request");
     println!(
         "\nGET /links (per-link health):\n{}",
         body(&links).trim_end()
@@ -125,9 +112,9 @@ fn main() {
     // exposition, and the flight recorder's view of the session.
     println!(
         "\nGET /health:\n{}",
-        body(&http_get(scope_addr, "/health")).trim_end()
+        body(&request(scope_addr, "GET", "/health", "").expect("scope request")).trim_end()
     );
-    let metrics = http_get(scope_addr, "/metrics");
+    let metrics = request(scope_addr, "GET", "/metrics", "").expect("scope request");
     println!("\nGET /metrics (link and fleet series):");
     for line in body(&metrics)
         .lines()
@@ -138,7 +125,7 @@ fn main() {
     }
     println!(
         "\nGET /flight:\n{}",
-        body(&http_get(scope_addr, "/flight")).trim_end()
+        body(&request(scope_addr, "GET", "/flight", "").expect("scope request")).trim_end()
     );
     let frames_rx = recorder
         .lock()
