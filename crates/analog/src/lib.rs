@@ -26,17 +26,11 @@
 //!   reference noise
 //! * [`characterize`] — static (DC transfer / INL) converter
 //!   characterization
-//! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ
-//! * [`bank`] — structure-of-arrays lane bank stepping K modulators per
-//!   clock (bit-identical to the scalar path, which stays the oracle)
-//! * [`tile`] — the fixed-width lane tiles the bank executes on, and
-//!   the one loop-filter clock the modulator, the bank's tail lanes and
-//!   its runtime-dispatched SIMD tile kernels all run
+//! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ;
+//!   the 2nd-order block stepper is the one conversion path, proven
+//!   bit-identical to per-sample `step`, which stays the oracle
 //! * [`mux`] — the 2:1 row/column multiplexers with settling transients
-//! * [`noise`] — seeded Gaussian noise sources and kT/C helpers; the
-//!   lockstep tile fill dispatches to an explicit-SIMD `noise_wide`
-//!   kernel (4/8 xoshiro streams per register, in-register ziggurat
-//!   accept) on x86-64
+//! * [`noise`] — seeded Gaussian noise sources and kT/C helpers
 //! * [`power`] — supply/clock-scaled power model anchored at the measured
 //!   11.5 mW @ 5 V, 128 kHz
 //! * [`nonideal`] — aggregated non-ideality configuration
@@ -56,9 +50,8 @@
 //! # }
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-pub mod bank;
 pub mod characterize;
 pub mod dac;
 pub mod frontend;
@@ -69,12 +62,17 @@ pub mod noise;
 pub mod nonideal;
 pub mod power;
 pub mod quantizer;
-pub mod tile;
 
 mod error;
-#[cfg(target_arch = "x86_64")]
-mod kernel;
-#[cfg(target_arch = "x86_64")]
-mod noise_wide;
 
 pub use error::AnalogError;
+
+/// What remains of the retired lane bank: its kernel name.
+pub mod bank {
+    /// The lane-bank kernel: `"none"`, as no bank exists. Only
+    /// `e2ebench` reads it, for its run-context line; the next change to
+    /// the benchmark deletes both.
+    pub fn kernel_name() -> &'static str {
+        "none"
+    }
+}

@@ -20,6 +20,8 @@
 //! op-amp gain), saturation, input-referred sampled noise, comparator
 //! offset/hysteresis, and clock jitter.
 
+use std::hint::select_unpredictable;
+
 use tonos_dsp::bits::PackedBits;
 
 use crate::dac::FeedbackDac;
@@ -27,7 +29,6 @@ use crate::integrator::ScIntegrator;
 use crate::noise::{ziggurat_xs, NoiseSource};
 use crate::nonideal::NonIdealities;
 use crate::quantizer::Comparator;
-use crate::tile::{step_lane, Consts, Rows};
 use crate::AnalogError;
 
 /// The paper's modulator clock rate in Hz.
@@ -168,17 +169,17 @@ impl Default for Coefficients {
 /// Second-order single-bit ΣΔ modulator (the paper's converter).
 #[derive(Debug, Clone)]
 pub struct SigmaDelta2 {
-    pub(crate) coeffs: Coefficients,
-    pub(crate) int1: ScIntegrator,
-    pub(crate) int2: ScIntegrator,
-    pub(crate) comparator: Comparator,
-    pub(crate) dac: FeedbackDac,
-    pub(crate) input_noise: NoiseSource,
-    pub(crate) nonideal: NonIdealities,
-    pub(crate) prev_input: f64,
-    pub(crate) last_bit: i8,
-    pub(crate) saturation_events: u64,
-    pub(crate) steps: u64,
+    coeffs: Coefficients,
+    int1: ScIntegrator,
+    int2: ScIntegrator,
+    comparator: Comparator,
+    dac: FeedbackDac,
+    input_noise: NoiseSource,
+    nonideal: NonIdealities,
+    prev_input: f64,
+    last_bit: i8,
+    saturation_events: u64,
+    steps: u64,
 }
 
 impl SigmaDelta2 {
@@ -324,7 +325,7 @@ impl DeltaSigmaModulator for SigmaDelta2 {
     /// path.
     ///
     /// Each clock draws its noise inline and steps the loop filter
-    /// through the shared `step_lane`, packing bits a word at a time.
+    /// through `step_lane`, packing bits a word at a time.
     /// The ziggurat table is resolved once per block, and the five split
     /// noise streams and the loop state are held in locals for the whole
     /// block (the rare rejection path is out of line and takes its
@@ -336,7 +337,7 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         let xs = ziggurat_xs();
         let Coefficients { b1, a1, c1, a2 } = self.coeffs;
         // Both stages share one pole and clamp: they are built from the
-        // same `NonIdealities` (the lane bank relies on this too).
+        // same `NonIdealities`.
         let consts = Consts {
             leak: self.int1.leak,
             sat: self.int1.saturation,
@@ -423,6 +424,105 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         self.saturation_events += saturations;
         self.steps += input.len() as u64;
     }
+}
+
+/// The loop-filter constants of one modulator, hoisted out of the clock
+/// loop.
+#[derive(Debug, Clone, Copy)]
+struct Consts {
+    leak: f64,
+    sat: f64,
+    off: f64,
+    hyst: f64,
+    mis: f64,
+    isi: f64,
+    b1: f64,
+    a1: f64,
+    c1: f64,
+    a2: f64,
+}
+
+/// The per-clock values one clock step consumes: the impaired input and
+/// the four pre-multiplied noise draws.
+#[derive(Debug, Clone, Copy)]
+struct Rows {
+    u: f64,
+    z1: f64,
+    z2: f64,
+    zc: f64,
+    zr: f64,
+}
+
+/// One integrator update's clamp, exactly as `ScIntegrator::update`:
+/// the clamped state and whether it saturated.
+#[inline(always)]
+fn clamp_sat(next: f64, sat: f64) -> (f64, bool) {
+    let hi = next > sat;
+    let lo = next < -sat;
+    let x = select_unpredictable(hi, sat, select_unpredictable(lo, -sat, next));
+    (x, hi || lo)
+}
+
+/// One modulator clock — the exact expression tree of
+/// `SigmaDelta2::step`, run by the block stepper. Returns
+/// `(margin, int1_saturated, int2_saturated)`: the decision is
+/// `margin >= 0.0`.
+///
+/// The decision does not gate any arithmetic: the DAC feedback and both
+/// integrator updates are computed for both outcomes before it
+/// resolves, and then it only selects. Each candidate is the IEEE
+/// expression the branchy form evaluates for its outcome, and clamping
+/// commutes with the selection, so the results are bit-identical.
+///
+/// The comparator's `x2 >= threshold` is returned as the margin
+/// `x2 - threshold`, whose sign is the same decision for every `x2`,
+/// infinite or NaN included: the threshold is finite (validated offset
+/// and hysteresis, finite noise), and a difference of distinct doubles
+/// never rounds to zero. A caller can then key the next clock's
+/// history on a float compare, which compiles to a mask blend where a
+/// `bool` history becomes a branch.
+// The `* -1.0` factors spell out `step`'s `hyst * last` and
+// `level * (1 + zr)` for the negative history and decision.
+#[allow(clippy::neg_multiply)]
+#[inline(always)]
+fn step_lane(
+    x1: &mut f64,
+    x2: &mut f64,
+    c: &Consts,
+    r: &Rows,
+    comp_last_pos: bool,
+    dac_last_pos: bool,
+) -> (f64, bool, bool) {
+    // Comparator (delaying loop): x2 against offset − h·last + noise,
+    // with last = ±1.0 the previous decision.
+    let margin = select_unpredictable(
+        comp_last_pos,
+        *x2 - (c.off - c.hyst * 1.0 + r.zc),
+        *x2 - (c.off - c.hyst * -1.0 + r.zc),
+    );
+    let vpos = margin >= 0.0;
+    // 1-bit DAC for either outcome: positive-level mismatch, rising-edge
+    // ISI, multiplicative reference noise.
+    let level_pos = select_unpredictable(dac_last_pos, 1.0 + c.mis, (1.0 + c.mis) * (1.0 - c.isi));
+    let vf_pos = level_pos * (1.0 + r.zr);
+    let vf_neg = -1.0 * (1.0 + r.zr);
+    // Both integrators for either outcome (the second takes the old
+    // x1), selected, then clamped like ScIntegrator::update.
+    let x1_old = *x1;
+    let x2_old = *x2;
+    let next = |vf: f64| {
+        (
+            c.leak * x1_old + (c.b1 * r.u - c.a1 * vf) + r.z1,
+            c.leak * x2_old + (c.c1 * x1_old - c.a2 * vf) + r.z2,
+        )
+    };
+    let (x1_pos, x2_pos) = next(vf_pos);
+    let (x1_neg, x2_neg) = next(vf_neg);
+    let (x1_next, sat1) = clamp_sat(select_unpredictable(vpos, x1_pos, x1_neg), c.sat);
+    let (x2_next, sat2) = clamp_sat(select_unpredictable(vpos, x2_pos, x2_neg), c.sat);
+    *x1 = x1_next;
+    *x2 = x2_next;
+    (margin, sat1, sat2)
 }
 
 /// First-order single-bit ΣΔ modulator — the classical baseline the

@@ -363,68 +363,6 @@ impl SensorChip {
         Ok(())
     }
 
-    /// The input-fill half of [`SensorChip::convert_frame_packed_into`],
-    /// *without* stepping the modulator — the banked readout computes the
-    /// frame input here and feeds it to a shared lane bank instead.
-    ///
-    /// Returns `Some(u)` when the settled mux holds one constant input
-    /// for the whole frame (`samples` is left empty), or `None` with
-    /// `samples` holding one input per clock (the mux settling
-    /// transient). Mux state advances exactly as in the scalar path: one
-    /// sample per settled frame, one per clock while settling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capacitance-evaluation failures.
-    pub(crate) fn fill_frame_input(
-        &mut self,
-        pressures: &[Pascals],
-        clocks: usize,
-        samples: &mut Vec<f64>,
-    ) -> Result<Option<f64>, SystemError> {
-        let mut caps = std::mem::take(&mut self.caps_scratch);
-        let result = self.capacitances_into(pressures, &mut caps);
-        let filled = result.and_then(|()| {
-            samples.clear();
-            if self.mux.is_settled() {
-                if clocks > 0 {
-                    let sensed = self.mux.sample(&caps)?;
-                    return Ok(Some(self.frontend.input_fraction(sensed)));
-                }
-                Ok(None)
-            } else {
-                samples.reserve(clocks);
-                for _ in 0..clocks {
-                    let sensed = self.mux.sample(&caps)?;
-                    samples.push(self.frontend.input_fraction(sensed));
-                }
-                Ok(None)
-            }
-        });
-        self.caps_scratch = caps;
-        filled
-    }
-
-    /// Hands the chip's modulator off (to a lane bank), leaving a fresh
-    /// placeholder built from the chip's own configuration. The chip
-    /// must not convert frames until [`SensorChip::restore_modulator`]
-    /// puts the (possibly bank-advanced) modulator back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placeholder construction failures (never fails for a
-    /// configuration that already built this chip).
-    pub(crate) fn extract_modulator(&mut self) -> Result<SigmaDelta2, SystemError> {
-        let placeholder = SigmaDelta2::new(self.config.nonideal)?;
-        Ok(std::mem::replace(&mut self.modulator, placeholder))
-    }
-
-    /// Reinstalls a modulator previously taken by
-    /// [`SensorChip::extract_modulator`].
-    pub(crate) fn restore_modulator(&mut self, m: SigmaDelta2) {
-        self.modulator = m;
-    }
-
     /// Converts a block through the auxiliary differential voltage input
     /// (electrical characterization, §3/§3.1). One input sample per
     /// modulator clock.

@@ -15,10 +15,6 @@
 //! * [`chip`] — [`chip::SensorChip`]: array + reference + mux + modulator
 //! * [`readout`] — [`readout::ReadoutSystem`]: chip + decimation filter
 //!   (the Fig. 3 block diagram), with scan settling management
-//! * [`bank`] — [`bank::ReadoutBank`]: K readout systems converting in
-//!   lockstep on one SoA modulator bank (bit-identical to scalar)
-//! * [`batch`] — [`batch::run_batch`]: whole monitoring sessions run
-//!   K-at-a-time on a lane bank
 //! * [`scratch`] — [`scratch::ConversionScratch`]: reusable per-frame
 //!   working memory, the key to the zero-allocation hot path
 //! * [`select`] — strongest-element selection (§2)
@@ -53,10 +49,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod bank;
-pub mod batch;
 pub mod calibrate;
 pub mod chip;
 pub mod config;

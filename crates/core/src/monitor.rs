@@ -145,38 +145,35 @@ pub struct MonitoringSession {
 
 /// Telemetry handles for the monitor's session stages.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MonitorInstruments {
+struct MonitorInstruments {
     beats: Counter,
     recalibrations: Counter,
     beat_interval: Histogram,
-    pub(crate) span_scan: SpanTimer,
-    pub(crate) span_acquisition: SpanTimer,
+    span_scan: SpanTimer,
+    span_acquisition: SpanTimer,
     span_calibration: SpanTimer,
     span_analysis: SpanTimer,
 }
 
 /// The end-to-end monitor.
-///
-/// Fields are crate-visible so the lane-batched session runner
-/// (`crate::batch`) can drive the same per-monitor state in lockstep.
 #[derive(Debug, Clone)]
 pub struct BloodPressureMonitor {
-    pub(crate) system: ReadoutSystem,
-    pub(crate) tissue: TissueModel,
-    pub(crate) patient: PatientProfile,
-    pub(crate) cuff: CuffDevice,
-    pub(crate) scan_window: usize,
-    pub(crate) recalibration: RecalibrationPolicy,
-    pub(crate) telemetry: Telemetry,
-    pub(crate) instruments: MonitorInstruments,
+    system: ReadoutSystem,
+    tissue: TissueModel,
+    patient: PatientProfile,
+    cuff: CuffDevice,
+    scan_window: usize,
+    recalibration: RecalibrationPolicy,
+    telemetry: Telemetry,
+    instruments: MonitorInstruments,
     /// Optional sensor-side thermal drift: the thermal model plus the
     /// die-temperature profile. Affects the *sensor*, not the truth.
-    pub(crate) thermal: Option<(ThermalModel, TemperatureProfile)>,
+    thermal: Option<(ThermalModel, TemperatureProfile)>,
     /// Optional sensor-side motion artifacts added to the contact-surface
     /// pressure (probe motion disturbs the contact, not the artery).
-    pub(crate) artifacts: Option<tonos_physio::artifact::ArtifactGenerator>,
+    artifacts: Option<tonos_physio::artifact::ArtifactGenerator>,
     /// Optional PDMS stress relaxation of the contact (strap-on creep).
-    pub(crate) creep: Option<CreepModel>,
+    creep: Option<CreepModel>,
 }
 
 /// Default number of settled frames scored per element during the scan.
@@ -380,14 +377,8 @@ impl BloodPressureMonitor {
     }
 
     /// Builds this session's frame synthesizer: artifact track aligned
-    /// with the truth record and precomputed drift terms. Pure with
-    /// respect to the readout state, so the scalar and lane-batched
-    /// paths can build identical synthesizers.
-    pub(crate) fn frame_synth(
-        &self,
-        truth: &WaveformRecord,
-        fs: f64,
-    ) -> Result<FrameSynth, SystemError> {
+    /// with the truth record and precomputed drift terms.
+    fn frame_synth(&self, truth: &WaveformRecord, fs: f64) -> Result<FrameSynth, SystemError> {
         let contact = self.system.config().contact;
         let layout = self.system.chip().array().layout();
         let tissue = self.tissue;
@@ -439,14 +430,12 @@ impl BloodPressureMonitor {
     }
 
     /// The post-acquisition half of a session: cuff calibration(s),
-    /// piecewise application, beat analysis, and error reporting. Shared
-    /// by [`BloodPressureMonitor::run_record`] and the lane-batched
-    /// runner.
+    /// piecewise application, beat analysis, and error reporting.
     ///
     /// # Errors
     ///
     /// Propagates calibration and analysis failures.
-    pub(crate) fn finish_session(
+    fn finish_session(
         &mut self,
         truth: WaveformRecord,
         raw: Vec<f64>,
@@ -578,15 +567,10 @@ impl BloodPressureMonitor {
 /// Per-session frame synthesis: arterial truth sample + surface
 /// artifact + sensor-side drift → per-element pressure frame.
 ///
-/// Extracted from the session loop so the scalar path and the
-/// lane-batched runner (`crate::batch`) synthesize frames through the
-/// *same* expressions in the same order — frame values, and therefore
-/// the converted bitstreams, stay bit-identical between the two
-/// execution strategies. All methods are pure math: infallible and
-/// allocation-free, keeping the acquisition loop on the zero-allocation
-/// frame path.
+/// All methods are pure math: infallible and allocation-free, keeping
+/// the acquisition loop on the zero-allocation frame path.
 #[derive(Debug, Clone)]
-pub(crate) struct FrameSynth {
+struct FrameSynth {
     tissue: TissueModel,
     contact: tonos_mems::contact::ContactInterface,
     layout: tonos_mems::array::ArrayLayout,
@@ -620,7 +604,7 @@ impl FrameSynth {
     }
 
     /// Scan-phase frame at truth index `idx` (clamped to the record).
-    pub(crate) fn fill_scan(&self, truth: &WaveformRecord, idx: usize, out: &mut Vec<Pascals>) {
+    fn fill_scan(&self, truth: &WaveformRecord, idx: usize, out: &mut Vec<Pascals>) {
         let i = idx.min(truth.samples.len() - 1);
         self.fill(truth.samples[i], self.artifact_at(i), out);
     }
@@ -647,7 +631,7 @@ impl FrameSynth {
 
     /// Acquisition-phase frame: truth index `acquisition_start + i`,
     /// with the session drift applied to every element.
-    pub(crate) fn fill_acquisition(
+    fn fill_acquisition(
         &self,
         truth: &WaveformRecord,
         acquisition_start: usize,

@@ -142,20 +142,8 @@ impl ReadoutSystem {
     /// automatically after every frame, selection, and reset when
     /// telemetry is enabled.
     fn flush_native(&mut self) {
-        self.flush_native_from(
-            self.chip.modulator_steps(),
-            self.chip.modulator_saturations(),
-        );
-    }
-
-    /// [`ReadoutSystem::flush_native`] with the modulator counters
-    /// supplied by the caller — the banked readout holds this lane's
-    /// modulator in a [`tonos_analog::bank::SigmaDelta2Bank`], so the
-    /// chip's own (placeholder) counters are stale while banked and the
-    /// bank's per-lane counters are authoritative. Counters only ever
-    /// flush forward: a value at or below the cursor is a no-op.
-    pub(crate) fn flush_native_from(&mut self, steps: u64, saturations: u64) {
         let i = &mut self.instruments;
+        let steps = self.chip.modulator_steps();
         if steps > i.last_steps {
             let delta_steps = steps - i.last_steps;
             i.modulator_steps.add(delta_steps);
@@ -171,7 +159,11 @@ impl ReadoutSystem {
                 }
             };
         }
-        flush!(modulator_saturations, last_saturations, saturations);
+        flush!(
+            modulator_saturations,
+            last_saturations,
+            self.chip.modulator_saturations()
+        );
         flush!(mux_switches, last_switches, self.chip.mux_switch_events());
         flush!(
             element_selections,
@@ -182,36 +174,6 @@ impl ReadoutSystem {
         flush!(decimator_out, last_dec_out, self.decimator.samples_out());
         flush!(decimator_flushes, last_flushes, self.decimator.flushes());
         flush!(quantizer_clips, last_clips, self.decimator.clip_events());
-    }
-
-    /// Mutable chip access for the banked readout (input fill, element
-    /// selection, modulator extraction).
-    pub(crate) fn chip_mut(&mut self) -> &mut SensorChip {
-        &mut self.chip
-    }
-
-    /// Mutable decimator access for the banked readout.
-    pub(crate) fn decimator_mut(&mut self) -> &mut TwoStageDecimator {
-        &mut self.decimator
-    }
-
-    /// Per-frame accounting for a frame converted *through a lane bank*
-    /// rather than [`ReadoutSystem::push_frame`]: same frames-in /
-    /// settled-vs-discarded bookkeeping and native-counter flush, with
-    /// the modulator counters supplied from the bank lane.
-    pub(crate) fn note_banked_frame(&mut self, steps: u64, saturations: u64) {
-        if self.telemetry.enabled() {
-            self.instruments.frames_in.inc();
-            if self.pending_discard > 0 {
-                self.instruments.settling_discarded.inc();
-            } else {
-                self.instruments.samples_out.inc();
-            }
-            self.flush_native_from(steps, saturations);
-        }
-        if self.pending_discard > 0 {
-            self.pending_discard -= 1;
-        }
     }
 
     /// The paper's system.

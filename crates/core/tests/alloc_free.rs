@@ -111,40 +111,6 @@ fn chip_conversion_scratch_paths_allocate_nothing() {
 }
 
 #[test]
-fn settled_banked_frames_allocate_nothing_across_all_lanes() {
-    // The lane bank's tentpole guarantee: one settled frame across all K
-    // lanes — input fill on K chips, K modulators stepped per clock
-    // through the SoA bank, K decimation chains through the one loaned
-    // scratch — touches the heap zero times after warm-up.
-    let k = 8;
-    let mut systems: Vec<ReadoutSystem> = (0..k)
-        .map(|i| {
-            let mut config = tonos_core::config::SystemConfig::paper_default();
-            config.chip.nonideal = config.chip.nonideal.with_seed(0x50 + i);
-            ReadoutSystem::new(config).unwrap()
-        })
-        .collect();
-    let mut bank = tonos_core::bank::ReadoutBank::new(systems.iter_mut().collect()).unwrap();
-    let frames: Vec<Vec<Pascals>> = (0..k).map(|i| frame(80.0 + i as f64)).collect();
-    let mut ys = vec![0.0; k as usize];
-    // Warm-up: settle every mux and grow all per-lane scratch (noise
-    // tiles, packed-bit words, decimator state) to steady state.
-    for _ in 0..16 {
-        bank.push_frames(&frames, &mut ys).unwrap();
-    }
-    let before = alloc_events();
-    for _ in 0..256 {
-        bank.push_frames(&frames, &mut ys).unwrap();
-    }
-    let during = alloc_events() - before;
-    assert_eq!(
-        during, 0,
-        "a settled banked frame must not touch the heap for any lane count; \
-         saw {during} allocation events over 256 frames x {k} lanes"
-    );
-}
-
-#[test]
 fn longer_sessions_do_not_add_per_frame_allocations() {
     // End-to-end differential: 8 extra seconds = 8000 extra frames. The
     // legacy path allocated ≥ 3 times per frame (pressure frame, packed

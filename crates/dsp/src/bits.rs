@@ -222,32 +222,6 @@ impl Extend<bool> for PackedBits {
     }
 }
 
-/// In-place transpose of a 64×64 bit matrix: bit `c` of `m[r]` moves to
-/// bit `r` of `m[c]`.
-///
-/// This is the pivot between the two natural packings of a lane bank's
-/// 1-bit outputs: the per-clock view (one word per clock, one bit per
-/// lane — what bit-sliced quantize/feedback produces) and the per-lane
-/// view (one word per lane, one bit per clock — what
-/// [`PackedBits::push_bits`] consumes). The recursive block-swap runs in
-/// 64·log₂64 word operations, so converting a full 64-lane × 64-clock
-/// block costs well under one operation per bit.
-pub fn transpose64(m: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k + j] ^= t;
-            m[k] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,41 +342,5 @@ mod tests {
         let mut extended = PackedBits::new();
         extended.extend(pattern.iter().copied());
         assert_eq!(collected, extended);
-    }
-
-    #[test]
-    fn transpose64_moves_every_bit_to_its_mirror() {
-        let mut m = [0u64; 64];
-        m[3] = 1 << 7;
-        m[63] = 1 | (1 << 63);
-        transpose64(&mut m);
-        assert_eq!(m[7], 1 << 3);
-        assert_eq!(m[0], 1 << 63);
-        assert_eq!(m[63], 1 << 63);
-        assert_eq!(m[3], 0);
-    }
-
-    #[test]
-    fn transpose64_is_an_involution_on_pseudorandom_matrices() {
-        // A cheap xorshift fills the matrix; transposing twice must give
-        // back the original, and single transposition must satisfy
-        // bit(r, c) == bit'(c, r) everywhere.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let original: [u64; 64] = std::array::from_fn(|_| next());
-        let mut m = original;
-        transpose64(&mut m);
-        for (r, &row) in original.iter().enumerate() {
-            for (c, &col) in m.iter().enumerate() {
-                assert_eq!(col >> r & 1, row >> c & 1, "bit ({r}, {c})");
-            }
-        }
-        transpose64(&mut m);
-        assert_eq!(m, original);
     }
 }

@@ -25,8 +25,6 @@
 //! * [`cic`] — SINC^N (CIC) decimators, float and bit-exact integer
 //! * [`fir`] — windowed-sinc FIR design and streaming decimation
 //! * [`decimator`] — the paper's two-stage chain with 12-bit output
-//! * [`bank`] — K decimation chains in lockstep for the lane-banked
-//!   readout (thin wrappers; bit-identical to scalar by construction)
 //! * [`fixed`] — Q-format fixed-point helpers (FPGA word-length modeling)
 //! * [`fpga`] — fully integer, bit-exact model of the FPGA datapath
 //! * [`welch`] — Welch-averaged PSD estimation for noise-floor work
@@ -54,7 +52,8 @@
 //! # }
 //! ```
 
-pub mod bank;
+#![forbid(unsafe_code)]
+
 pub mod bits;
 pub mod cic;
 pub mod decimator;

@@ -28,10 +28,8 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use tonos_core::batch::BatchScratch;
 use tonos_telemetry::{names, Registry, Rollup, Telemetry, TelemetrySnapshot};
 
-use crate::batch::BatchShard;
 use crate::report::{FleetReport, SessionResult};
 use crate::session::{SessionContext, SessionOutcome, SessionSpec, SessionSummary};
 
@@ -235,19 +233,15 @@ enum Dispatch {
     },
     /// A chunk actor with queued work (or a close) to process.
     Actor(Arc<ActorShared>),
-    /// A kick at a batch shard: the worker claims lane groups from the
-    /// shard (its own queue first, stealing otherwise) until the shard
-    /// runs dry. One kick per awakened runner, not per group.
-    Batch(Arc<BatchShard>),
 }
 
 /// One finished session travelling back from a worker.
-pub(crate) struct RawResult {
-    pub(crate) id: u64,
-    pub(crate) label: String,
-    pub(crate) wall_s: f64,
-    pub(crate) outcome: SessionOutcome,
-    pub(crate) snapshot: TelemetrySnapshot,
+struct RawResult {
+    id: u64,
+    label: String,
+    wall_s: f64,
+    outcome: SessionOutcome,
+    snapshot: TelemetrySnapshot,
 }
 
 /// A pool of worker threads running monitoring sessions concurrently.
@@ -279,10 +273,10 @@ impl FleetEngine {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (result_tx, result_rx) = channel::<RawResult>();
         let workers = (0..count)
-            .map(|who| {
+            .map(|_| {
                 let jobs = Arc::clone(&job_rx);
                 let results = result_tx.clone();
-                thread::spawn(move || worker_loop(who, &jobs, &results))
+                thread::spawn(move || worker_loop(&jobs, &results))
             })
             .collect();
         let registry = Registry::new();
@@ -334,35 +328,6 @@ impl FleetEngine {
             .expect("workers alive while engine is alive");
         self.in_flight += 1;
         id
-    }
-
-    /// Assigns a session id and counts it started and in flight — the
-    /// batch-shard flavour of `submit`: the session travels through a
-    /// [`BatchShard`] lane queue rather than the dispatch channel, so
-    /// nothing is sent here. The caller owes the pool enough batch
-    /// kicks (via [`send_batch`](FleetEngine::send_batch)) for every
-    /// staged session to eventually run.
-    pub(crate) fn stage_batch_session(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.telemetry()
-            .counter(names::FLEET_SESSIONS_STARTED)
-            .inc();
-        self.in_flight += 1;
-        id
-    }
-
-    /// Kicks one worker at a batch shard. Workers that pick this up
-    /// claim lane groups from the shard until it runs dry, so one kick
-    /// per awakened runner suffices (the shard's runner accounting
-    /// decides how many to send).
-    pub(crate) fn send_batch(&self, shard: Arc<BatchShard>) {
-        self.jobs
-            .as_ref()
-            .expect("job channel open while engine is alive")
-            .0
-            .send(Dispatch::Batch(shard))
-            .expect("workers alive while engine is alive");
     }
 
     /// Opens a **chunk actor**: a session that does not occupy a worker
@@ -530,11 +495,7 @@ impl Drop for FleetEngine {
     }
 }
 
-fn worker_loop(who: usize, jobs: &Mutex<Receiver<Dispatch>>, results: &Sender<RawResult>) {
-    // Worker-local bank scratch: chunk rows grown by the first batch
-    // this worker runs stay grown for every later batch. Never holds
-    // session state, only capacity.
-    let mut scratch = BatchScratch::default();
+fn worker_loop(jobs: &Mutex<Receiver<Dispatch>>, results: &Sender<RawResult>) {
     loop {
         // Hold the lock only for the hand-off; a worker blocked in recv
         // under the mutex is equivalent to blocking on the mutex itself.
@@ -553,11 +514,6 @@ fn worker_loop(who: usize, jobs: &Mutex<Receiver<Dispatch>>, results: &Sender<Ra
             }
             Dispatch::Actor(shared) => {
                 if run_actor(&shared, results).is_err() {
-                    return;
-                }
-            }
-            Dispatch::Batch(shard) => {
-                if shard.run_on_worker(who, &mut scratch, results).is_err() {
                     return;
                 }
             }
@@ -730,7 +686,7 @@ fn finish_actor(
     results.send(raw).map_err(|_| ())
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -18,12 +18,6 @@
 //!   so ward-wide throughput, health ratios, and alarm fan-in read out
 //!   of a single [`snapshot`](FleetEngine::snapshot).
 //!
-//! Two engines share that contract: [`FleetEngine`] runs one session per
-//! worker thread, and [`BatchEngine`] runs K sessions per worker in
-//! lockstep on a SoA lane bank ([`tonos_core::batch::run_batch`]) —
-//! converting K patients per instruction stream when sessions outnumber
-//! cores, with automatic scalar fallback per batch.
-//!
 //! # Example
 //!
 //! Submitting real monitoring sessions (a few seconds of simulated
@@ -76,13 +70,12 @@
 //! [`BloodPressureMonitor`]: tonos_core::monitor::BloodPressureMonitor
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod engine;
 pub mod report;
 pub mod session;
 
-pub use batch::{BatchConfig, BatchEngine};
 pub use engine::{
     ActorEvent, ActorHandle, ActorHandler, ChunkFull, FleetConfig, FleetEngine, SessionTask,
 };

@@ -101,9 +101,8 @@ impl SessionSpec {
 }
 
 /// Condenses a finished session, running the optional alarm screening
-/// stage exactly as [`SessionSpec::run`] does — the batch engine calls
-/// this per lane so banked and scalar sessions summarize identically.
-pub(crate) fn summarize(
+/// stage.
+fn summarize(
     session: &MonitoringSession,
     alarm_limits: Option<AlarmLimits>,
     telemetry: &Telemetry,

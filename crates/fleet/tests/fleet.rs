@@ -318,3 +318,89 @@ fn dropping_an_actor_handle_closes_the_session() {
     assert_eq!(report.len(), 1);
     assert_eq!(report.completed().next().unwrap().1.samples, 7);
 }
+
+#[test]
+fn actor_scheduling_never_double_runs_a_session_under_contention() {
+    // Stress loop: monitoring sessions and chunk actors contend for the
+    // same four workers. Two invariants prove no session ever runs on
+    // two workers concurrently:
+    //   1. every actor handler flags reentry (the at-most-one-worker
+    //      guarantee) — any violation fails the drain via a panic;
+    //   2. every label reports exactly once.
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use tonos_fleet::ActorEvent;
+
+    const ROUNDS: usize = 2;
+    const PER_ROUND: usize = 8;
+    let mut fleet = FleetEngine::spawn(FleetConfig { workers: 4 });
+
+    let reentered = Arc::new(AtomicUsize::new(0));
+    let mut handles = Vec::new();
+    for a in 0..4 {
+        let busy = Arc::new(AtomicBool::new(false));
+        let reentered = Arc::clone(&reentered);
+        let handle = fleet.open_actor(format!("actor-{a}"), 64, move |event, _ctx| match event {
+            ActorEvent::Chunk(_) => {
+                if busy.swap(true, Ordering::SeqCst) {
+                    reentered.fetch_add(1, Ordering::SeqCst);
+                }
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                busy.store(false, Ordering::SeqCst);
+                None
+            }
+            ActorEvent::Closed => {
+                Some(Ok(SessionSummary::from_stream(0, 0.0, 0.0, 0.0, 0, 1.0, 0)))
+            }
+        });
+        handles.push(handle);
+    }
+
+    let mut pushed = 0;
+    for round in 0..ROUNDS {
+        for i in 0..PER_ROUND {
+            let seed = 500 + (round * PER_ROUND + i) as u64;
+            fleet.push(quick(
+                &format!("r{round}-s{i}"),
+                PatientProfile::normotensive().with_seed(seed),
+            ));
+            pushed += 1;
+            // Interleave actor chunks with session pushes so actor
+            // dispatches and sessions genuinely contend; a full queue
+            // (backpressure) is fine here.
+            for h in &handles {
+                let _ = h.try_push_chunk(vec![round as u8, i as u8]);
+            }
+        }
+        fleet.poll_finished();
+    }
+    for h in &handles {
+        h.close();
+    }
+    drop(handles);
+    let report = fleet.drain();
+
+    let total = pushed + 4; // sessions plus the four actors
+    assert_eq!(report.len(), total);
+    assert!(report.failures().is_empty(), "{report}");
+    assert_eq!(
+        reentered.load(Ordering::SeqCst),
+        0,
+        "an actor handler ran on two workers at once"
+    );
+
+    let mut labels: Vec<&str> = report.sessions.iter().map(|s| s.label.as_str()).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    assert_eq!(labels.len(), total, "a session reported twice");
+
+    let agg = fleet.snapshot();
+    assert_eq!(
+        agg.counter(names::FLEET_SESSIONS_STARTED),
+        Some(total as u64)
+    );
+    assert_eq!(
+        agg.counter(names::FLEET_SESSIONS_COMPLETED),
+        Some(total as u64)
+    );
+}

@@ -42,6 +42,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod capacitor;
 pub mod contact;

@@ -35,6 +35,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod cuff;
 pub mod patient;

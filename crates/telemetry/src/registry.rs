@@ -89,16 +89,6 @@ pub mod names {
     pub const FLEET_CRITICAL_EVENTS: &str = "fleet.rollup.critical_events";
     /// Per-session wall-clock duration (span histogram, seconds).
     pub const SPAN_FLEET_SESSION: &str = "span.fleet.session_s";
-    /// Session batches converted in lockstep on a lane bank (counter).
-    pub const FLEET_BATCHES_BANKED: &str = "fleet.batches_banked";
-    /// Session batches that fell back to scalar execution (counter).
-    pub const FLEET_BATCHES_SCALAR: &str = "fleet.batches_scalar";
-    /// Lane groups a batch worker stole from another worker's queue
-    /// (counter).
-    pub const FLEET_LANE_STEALS: &str = "fleet.lane_steals";
-    /// Sessions claimed per batch-worker wakeup, i.e. lane occupancy of
-    /// each banked conversion (histogram, sessions).
-    pub const FLEET_BATCH_OCCUPANCY: &str = "fleet.batch_occupancy";
     /// Frames serialized by a link encoder (counter).
     pub const LINK_FRAMES_TX: &str = "link.frames_tx";
     /// Bytes serialized by a link encoder (counter).
@@ -149,9 +139,6 @@ pub mod names {
     /// Gap-concealment stage duration per gap episode (span histogram,
     /// seconds).
     pub const SPAN_LINK_CONCEAL: &str = "span.link.conceal_s";
-    /// Banked lockstep conversion duration per lane per batch (span
-    /// histogram, seconds).
-    pub const SPAN_BANK_CONVERT: &str = "span.bank.convert_s";
     /// Out-of-order frames healed by the decoder's reorder buffer
     /// instead of being dropped-and-concealed (counter).
     pub const LINK_REORDERED_FRAMES: &str = "link.reordered_frames";

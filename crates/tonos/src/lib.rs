@@ -31,6 +31,8 @@
 //! See `examples/quickstart.rs` for the five-minute tour and
 //! `ARCHITECTURE.md` for the end-to-end dataflow.
 
+#![forbid(unsafe_code)]
+
 pub use tonos_analog as analog;
 pub use tonos_core as system;
 pub use tonos_dsp as dsp;
