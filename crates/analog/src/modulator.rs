@@ -1004,6 +1004,36 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over a bitstream, one byte (0 or 1) per clock.
+    fn fnv1a(bits: impl IntoIterator<Item = bool>) -> u64 {
+        bits.into_iter().fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Pins both modulators' bits under `NonIdealities::typical()`. The
+    /// proptest above compares `step_block` with `step` in one build, so
+    /// it cannot see a change that moves both; these digests can. The
+    /// input changes every clock, so the input, jitter, second-stage and
+    /// reference streams all draw, and the block path runs in two calls
+    /// so its streams are written back and resumed mid-stream.
+    #[test]
+    fn typical_bitstreams_match_their_golden_digests() {
+        let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 1_000.0, 0.6, 0.3, 20_000);
+        let mk = || SigmaDelta2::new(NonIdealities::typical()).unwrap();
+        let mut block_dsm = mk();
+        let mut block = PackedBits::new();
+        block_dsm.step_block(&stim[..7_777], &mut block);
+        block_dsm.step_block(&stim[7_777..], &mut block);
+        let steps = mk().process(&stim);
+        assert_eq!(fnv1a(block.iter()), 0xA2D9_F2E4_D337_21B9);
+        assert_eq!(fnv1a(steps.iter().map(|&b| b > 0)), 0xA2D9_F2E4_D337_21B9);
+        let first = SigmaDelta1::new(NonIdealities::typical())
+            .unwrap()
+            .process(&stim);
+        assert_eq!(fnv1a(first.iter().map(|&b| b > 0)), 0x9411_63D8_6C5C_BF82);
+    }
+
     #[test]
     fn into_variants_match_allocating_defaults() {
         let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 150.0, 0.5, 0.0, 1000);
