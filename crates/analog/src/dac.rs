@@ -16,11 +16,11 @@
 //!   asymmetry**, whose error tracks the transition density — a
 //!   signal-dependent, in-band distortion (the reason return-to-zero DAC
 //!   coding exists). The model applies the loss to rising transitions
-//!   only, i.e. it represents the asymmetric part;
-//! * **reference noise** — thermal/supply noise on Vref multiplies the
-//!   fed-back charge.
-
-use crate::noise::NoiseSource;
+//!   only, i.e. it represents the asymmetric part.
+//!
+//! Reference noise (thermal/supply noise on Vref) multiplies the level
+//! this DAC returns; the modulator that owns the DAC draws it and applies
+//! the `1 + z` factor.
 
 /// Behavioral single-bit feedback DAC.
 #[derive(Debug, Clone)]
@@ -30,9 +30,6 @@ pub struct FeedbackDac {
     /// Fraction of feedback charge lost on a *rising* transition (the
     /// asymmetric part of the settling error).
     pub(crate) isi: f64,
-    /// Reference-noise sigma per clock (relative).
-    pub(crate) reference_noise_sigma: f64,
-    pub(crate) noise: NoiseSource,
     pub(crate) last_bit: i8,
 }
 
@@ -41,36 +38,24 @@ impl FeedbackDac {
     ///
     /// # Panics
     ///
-    /// Panics when `isi` or `reference_noise_sigma` is negative (user
-    /// input is validated in
+    /// Panics when `isi` is negative (user input is validated in
     /// [`crate::nonideal::NonIdealities::validate`]).
-    pub fn new(
-        level_mismatch: f64,
-        isi: f64,
-        reference_noise_sigma: f64,
-        noise: NoiseSource,
-    ) -> Self {
+    pub fn new(level_mismatch: f64, isi: f64) -> Self {
         assert!(isi >= 0.0, "ISI must be non-negative");
-        assert!(
-            reference_noise_sigma >= 0.0,
-            "reference noise must be non-negative"
-        );
         FeedbackDac {
             level_mismatch,
             isi,
-            reference_noise_sigma,
-            noise,
             last_bit: 1,
         }
     }
 
     /// An ideal ±1 DAC.
     pub fn ideal() -> Self {
-        FeedbackDac::new(0.0, 0.0, 0.0, NoiseSource::from_seed(0))
+        FeedbackDac::new(0.0, 0.0)
     }
 
-    /// Converts the comparator decision into the analog feedback value
-    /// for this clock.
+    /// Converts the comparator decision into this clock's noiseless
+    /// feedback level.
     pub fn convert(&mut self, bit: i8) -> f64 {
         let nominal = f64::from(bit);
         // Level mismatch affects the positive level only (the relative
@@ -85,7 +70,7 @@ impl FeedbackDac {
             v *= 1.0 - self.isi;
         }
         self.last_bit = bit;
-        v * (1.0 + self.noise.gaussian(self.reference_noise_sigma))
+        v
     }
 
     /// Resets the transition history.
@@ -109,14 +94,14 @@ mod tests {
 
     #[test]
     fn level_mismatch_scales_only_the_positive_level() {
-        let mut dac = FeedbackDac::new(0.01, 0.0, 0.0, NoiseSource::from_seed(0));
+        let mut dac = FeedbackDac::new(0.01, 0.0);
         assert!((dac.convert(1) - 1.01).abs() < 1e-15);
         assert_eq!(dac.convert(-1), -1.0);
     }
 
     #[test]
     fn isi_applies_only_on_rising_transitions() {
-        let mut dac = FeedbackDac::new(0.0, 0.1, 0.0, NoiseSource::from_seed(0));
+        let mut dac = FeedbackDac::new(0.0, 0.1);
         // Initial history is +1: a +1 output is not a transition.
         assert_eq!(dac.convert(1), 1.0);
         // Falling transition: full charge (the symmetric part is modeled
@@ -131,20 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn reference_noise_is_multiplicative_and_seeded() {
-        let mut a = FeedbackDac::new(0.0, 0.0, 0.01, NoiseSource::from_seed(3));
-        let mut b = FeedbackDac::new(0.0, 0.0, 0.01, NoiseSource::from_seed(3));
-        for i in 0..100 {
-            let bit = if i % 3 == 0 { 1 } else { -1 };
-            let va = a.convert(bit);
-            assert_eq!(va, b.convert(bit));
-            assert!((va.abs() - 1.0).abs() < 0.1, "noise is small and relative");
-        }
-    }
-
-    #[test]
     fn reset_clears_transition_history() {
-        let mut dac = FeedbackDac::new(0.0, 0.2, 0.0, NoiseSource::from_seed(0));
+        let mut dac = FeedbackDac::new(0.0, 0.2);
         let _ = dac.convert(-1);
         dac.reset();
         // History is +1 again: +1 is not a rising transition.
@@ -154,6 +127,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ISI")]
     fn negative_isi_panics() {
-        let _ = FeedbackDac::new(0.0, -0.1, 0.0, NoiseSource::from_seed(0));
+        let _ = FeedbackDac::new(0.0, -0.1);
     }
 }

@@ -1,20 +1,18 @@
-//! Switched-capacitor integrator with finite-gain leak, saturation, and
-//! sampled noise.
+//! Switched-capacitor integrator with finite-gain leak and saturation.
 //!
 //! Each ΣΔ stage (paper Fig. 6) is a fully-differential SC integrator. In
 //! the discrete-time behavioral model one clock period performs
 //!
 //! ```text
-//! x[n] = p · x[n−1] + gain · u[n−1] + noise,   p = A / (A + 1)
+//! x[n] = p · x[n−1] + gain · u[n−1] + z[n],   p = A / (A + 1)
 //! ```
 //!
 //! where `A` is the op-amp DC gain (`p → 1` for an ideal op-amp: the
 //! familiar "leaky integrator" model of finite gain) and the output is
-//! clamped at the supply-limited saturation level.
+//! clamped at the supply-limited saturation level. The sampled noise
+//! `z[n]` is drawn by the modulator that owns the stage and passed in.
 
-use crate::noise::NoiseSource;
-
-/// A leaky, saturating, noisy discrete-time integrator.
+/// A leaky, saturating discrete-time integrator.
 #[derive(Debug, Clone)]
 pub struct ScIntegrator {
     pub(crate) state: f64,
@@ -22,9 +20,6 @@ pub struct ScIntegrator {
     pub(crate) leak: f64,
     /// Output clamp in full-scale units.
     pub(crate) saturation: f64,
-    /// Per-sample additive noise sigma (input-referred, FS units).
-    pub(crate) noise_sigma: f64,
-    pub(crate) noise: NoiseSource,
     /// Set when the last update hit the clamp.
     pub(crate) saturated: bool,
 }
@@ -39,7 +34,7 @@ impl ScIntegrator {
     /// Panics if `dc_gain <= 1` or `saturation <= 0` (static circuit
     /// sizing errors; user-facing validation happens in
     /// [`crate::nonideal::NonIdealities::validate`]).
-    pub fn new(dc_gain: f64, saturation: f64, noise_sigma: f64, noise: NoiseSource) -> Self {
+    pub fn new(dc_gain: f64, saturation: f64) -> Self {
         assert!(dc_gain > 1.0, "DC gain must exceed 1");
         assert!(saturation > 0.0, "saturation must be positive");
         let leak = if dc_gain.is_infinite() {
@@ -51,15 +46,14 @@ impl ScIntegrator {
             state: 0.0,
             leak,
             saturation,
-            noise_sigma,
-            noise,
             saturated: false,
         }
     }
 
-    /// Integrates one weighted input sample and returns the new state.
-    pub fn update(&mut self, input: f64) -> f64 {
-        let mut next = self.leak * self.state + input + self.noise.gaussian(self.noise_sigma);
+    /// Integrates one weighted input sample plus this clock's sampled
+    /// `noise` (added last, before the clamp) and returns the new state.
+    pub fn update(&mut self, input: f64, noise: f64) -> f64 {
+        let mut next = self.leak * self.state + input + noise;
         if next > self.saturation {
             next = self.saturation;
             self.saturated = true;
@@ -88,7 +82,7 @@ impl ScIntegrator {
         self.leak
     }
 
-    /// Resets the state (keeps the noise stream position).
+    /// Resets the state.
     pub fn reset(&mut self) {
         self.state = 0.0;
         self.saturated = false;
@@ -99,15 +93,11 @@ impl ScIntegrator {
 mod tests {
     use super::*;
 
-    fn quiet(dc_gain: f64, sat: f64) -> ScIntegrator {
-        ScIntegrator::new(dc_gain, sat, 0.0, NoiseSource::from_seed(0))
-    }
-
     #[test]
     fn ideal_integrator_accumulates_exactly() {
-        let mut int = quiet(f64::INFINITY, 100.0);
+        let mut int = ScIntegrator::new(f64::INFINITY, 100.0);
         for _ in 0..10 {
-            int.update(0.5);
+            int.update(0.5, 0.0);
         }
         assert!((int.state() - 5.0).abs() < 1e-12);
         assert!(!int.is_saturated());
@@ -118,10 +108,10 @@ mod tests {
         // With pole p and constant input u the state converges to
         // u / (1 - p) = u (A + 1).
         let a = 100.0;
-        let mut int = quiet(a, 1e6);
+        let mut int = ScIntegrator::new(a, 1e6);
         let mut last = 0.0;
         for _ in 0..20_000 {
-            last = int.update(0.01);
+            last = int.update(0.01, 0.0);
         }
         let expected = 0.01 * (a + 1.0);
         assert!(
@@ -132,52 +122,36 @@ mod tests {
 
     #[test]
     fn leak_value_matches_formula() {
-        let int = quiet(4000.0, 1.0);
+        let int = ScIntegrator::new(4000.0, 1.0);
         assert!((int.leak() - 4000.0 / 4001.0).abs() < 1e-15);
-        assert_eq!(quiet(f64::INFINITY, 1.0).leak(), 1.0);
+        assert_eq!(ScIntegrator::new(f64::INFINITY, 1.0).leak(), 1.0);
     }
 
     #[test]
     fn saturation_clamps_and_flags() {
-        let mut int = quiet(f64::INFINITY, 1.0);
+        let mut int = ScIntegrator::new(f64::INFINITY, 1.0);
         for _ in 0..5 {
-            int.update(0.6);
+            int.update(0.6, 0.0);
         }
         assert_eq!(int.state(), 1.0);
         assert!(int.is_saturated());
         // Recovers once the drive reverses.
-        int.update(-0.4);
+        int.update(-0.4, 0.0);
         assert!(!int.is_saturated());
         assert!((int.state() - 0.6).abs() < 1e-12);
         // Negative rail too.
         for _ in 0..10 {
-            int.update(-0.9);
+            int.update(-0.9, 0.0);
         }
         assert_eq!(int.state(), -1.0);
         assert!(int.is_saturated());
     }
 
     #[test]
-    fn noise_is_injected_per_sample() {
-        let mut noisy = ScIntegrator::new(f64::INFINITY, 1e9, 0.1, NoiseSource::from_seed(4));
-        let mut sum_sq = 0.0;
-        let n = 50_000;
-        let mut prev = 0.0;
-        for _ in 0..n {
-            let s = noisy.update(0.0);
-            let inc = s - prev;
-            prev = s;
-            sum_sq += inc * inc;
-        }
-        let sigma = (sum_sq / n as f64).sqrt();
-        assert!((sigma - 0.1).abs() < 0.005, "per-step noise sigma {sigma}");
-    }
-
-    #[test]
     fn reset_clears_state_only() {
-        let mut int = quiet(f64::INFINITY, 1.0);
-        int.update(0.9);
-        int.update(0.9);
+        let mut int = ScIntegrator::new(f64::INFINITY, 1.0);
+        int.update(0.9, 0.0);
+        int.update(0.9, 0.0);
         assert!(int.is_saturated());
         int.reset();
         assert_eq!(int.state(), 0.0);
@@ -187,12 +161,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "DC gain")]
     fn unit_gain_is_rejected() {
-        let _ = quiet(1.0, 1.0);
+        let _ = ScIntegrator::new(1.0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "saturation")]
     fn zero_saturation_is_rejected() {
-        let _ = quiet(10.0, 0.0);
+        let _ = ScIntegrator::new(10.0, 0.0);
     }
 }

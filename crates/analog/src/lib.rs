@@ -19,16 +19,16 @@
 //! * [`frontend`] — capacitance-difference-to-input conversion with the
 //!   adjustable first-stage feedback capacitors the paper's *future work*
 //!   points at
-//! * [`integrator`] — SC integrator with finite-gain leak, saturation and
-//!   sampled kT/C noise
+//! * [`integrator`] — SC integrator with finite-gain leak and saturation
 //! * [`quantizer`] — single-bit comparator with offset and hysteresis
-//! * [`dac`] — the 1-bit feedback DAC with level mismatch, ISI and
-//!   reference noise
+//! * [`dac`] — the 1-bit feedback DAC with level mismatch and ISI
 //! * [`characterize`] — static (DC transfer / INL) converter
 //!   characterization
-//! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ;
-//!   the 2nd-order block stepper is the one conversion path, proven
-//!   bit-identical to per-sample `step`, which stays the oracle
+//! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ,
+//!   which own and draw every seeded noise stream (sampled input noise
+//!   and jitter, second-stage noise, reference noise); the 2nd-order
+//!   block stepper is the one conversion path, proven bit-identical to
+//!   per-sample `step`, which stays the oracle
 //! * [`mux`] — the 2:1 row/column multiplexers with settling transients
 //! * [`noise`] — seeded Gaussian noise sources and kT/C helpers
 //! * [`power`] — supply/clock-scaled power model anchored at the measured

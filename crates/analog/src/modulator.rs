@@ -18,7 +18,8 @@
 //!
 //! All non-idealities come from [`NonIdealities`]: integrator leak (finite
 //! op-amp gain), saturation, input-referred sampled noise, comparator
-//! offset/hysteresis, and clock jitter.
+//! offset/hysteresis, and clock jitter. The loop components are
+//! deterministic; each modulator owns and draws its seeded noise streams.
 
 use std::hint::select_unpredictable;
 
@@ -50,15 +51,7 @@ pub trait DeltaSigmaModulator {
 
     /// Converts a block of samples.
     fn process(&mut self, input: &[f64]) -> Vec<i8> {
-        let mut out = Vec::with_capacity(input.len());
-        self.process_into(input, &mut out);
-        out
-    }
-
-    /// Converts a block, appending the ±1 bits to caller-owned `out`
-    /// (not cleared first) — no allocation beyond `out`'s own growth.
-    fn process_into(&mut self, input: &[f64], out: &mut Vec<i8>) {
-        out.extend(input.iter().map(|&u| self.step(u)));
+        input.iter().map(|&u| self.step(u)).collect()
     }
 
     /// Converts a block into ±1.0 floats ready for the decimation chain.
@@ -84,14 +77,6 @@ pub trait DeltaSigmaModulator {
         bits
     }
 
-    /// Converts a block, appending bits to a caller-owned packed stream
-    /// (not cleared first).
-    fn process_packed_into(&mut self, input: &[f64], bits: &mut PackedBits) {
-        for &u in input {
-            bits.push(self.step(u) > 0);
-        }
-    }
-
     /// Block conversion — the allocation-free hot path. `bits` receives
     /// the packed output (appended, not cleared).
     ///
@@ -99,10 +84,12 @@ pub trait DeltaSigmaModulator {
     /// sample: implementations may reorder *independent* noise-stream
     /// draws within a clock, but every stream is consumed in the same
     /// per-sample order, so the emitted bits and the final modulator
-    /// state are exactly those of the scalar path. The default simply
-    /// forwards to [`DeltaSigmaModulator::process_packed_into`].
+    /// state are exactly those of the scalar path. The default is that
+    /// per-sample loop.
     fn step_block(&mut self, input: &[f64], bits: &mut PackedBits) {
-        self.process_packed_into(input, bits);
+        for &u in input {
+            bits.push(self.step(u) > 0);
+        }
     }
 }
 
@@ -174,7 +161,15 @@ pub struct SigmaDelta2 {
     int2: ScIntegrator,
     comparator: Comparator,
     dac: FeedbackDac,
+    /// Input-referred sampled noise, then the jitter error: both are
+    /// drawn into the impaired input `u`.
     input_noise: NoiseSource,
+    /// The second integrator's own noise, of σ `stage2_sigma`, added to
+    /// its update.
+    stage2_noise: NoiseSource,
+    stage2_sigma: f64,
+    /// Reference noise, multiplying the DAC's feedback level.
+    reference_noise: NoiseSource,
     nonideal: NonIdealities,
     prev_input: f64,
     last_bit: i8,
@@ -205,41 +200,29 @@ impl SigmaDelta2 {
         coeffs.validate()?;
         nonideal.validate()?;
         let mut root = NoiseSource::from_seed(nonideal.seed);
-        let n1 = root.split();
-        let n2 = root.split();
-        let nc = root.split();
-        let nd = root.split();
+        // Five streams are split, in this order, so every seed stays
+        // where it has always been; the first integrator's (first) and
+        // the comparator's (third) never draw and are dropped.
+        root.split();
+        let stage2_noise = root.split();
+        root.split();
+        let reference_noise = root.split();
         let input_noise = root.split();
+        let integrator =
+            || ScIntegrator::new(nonideal.opamp_dc_gain, nonideal.integrator_saturation);
         Ok(SigmaDelta2 {
             coeffs,
+            int1: integrator(),
+            int2: integrator(),
+            comparator: Comparator::new(nonideal.comparator_offset, nonideal.comparator_hysteresis),
+            dac: FeedbackDac::new(nonideal.dac_level_mismatch, nonideal.dac_isi),
+            input_noise,
+            stage2_noise,
             // First-stage noise is input-referred; the second stage's own
             // noise is shaped away by the first integrator's gain, so it
             // gets a much smaller share (10 %).
-            int1: ScIntegrator::new(
-                nonideal.opamp_dc_gain,
-                nonideal.integrator_saturation,
-                0.0,
-                n1,
-            ),
-            int2: ScIntegrator::new(
-                nonideal.opamp_dc_gain,
-                nonideal.integrator_saturation,
-                nonideal.input_noise_sigma * 0.1,
-                n2,
-            ),
-            comparator: Comparator::new(
-                nonideal.comparator_offset,
-                nonideal.comparator_hysteresis,
-                0.0,
-                nc,
-            ),
-            dac: FeedbackDac::new(
-                nonideal.dac_level_mismatch,
-                nonideal.dac_isi,
-                nonideal.reference_noise_sigma,
-                nd,
-            ),
-            input_noise,
+            stage2_sigma: nonideal.input_noise_sigma * 0.1,
+            reference_noise,
             nonideal,
             prev_input: 0.0,
             last_bit: 1,
@@ -293,11 +276,18 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         // Decision from the *previous* second-integrator state (delaying
         // loop), then state updates using the old x1.
         let v = self.comparator.decide(self.int2.state());
-        let vf = self.dac.convert(v);
+        let zr = self
+            .reference_noise
+            .gaussian(self.nonideal.reference_noise_sigma);
+        let vf = self.dac.convert(v) * (1.0 + zr);
         let x1_old = self.int1.state();
-        self.int1.update(self.coeffs.b1 * u - self.coeffs.a1 * vf);
+        // The first stage's noise is input-referred (drawn into `u`), so
+        // its own noise slot is zero.
+        self.int1
+            .update(self.coeffs.b1 * u - self.coeffs.a1 * vf, 0.0);
+        let z2 = self.stage2_noise.gaussian(self.stage2_sigma);
         self.int2
-            .update(self.coeffs.c1 * x1_old - self.coeffs.a2 * vf);
+            .update(self.coeffs.c1 * x1_old - self.coeffs.a2 * vf, z2);
         if self.int1.is_saturated() || self.int2.is_saturated() {
             self.saturation_events += 1;
         }
@@ -326,7 +316,7 @@ impl DeltaSigmaModulator for SigmaDelta2 {
     ///
     /// Each clock draws its noise inline and steps the loop filter
     /// through `step_lane`, packing bits a word at a time.
-    /// The ziggurat table is resolved once per block, and the five split
+    /// The ziggurat table is resolved once per block, and the three live
     /// noise streams and the loop state are held in locals for the whole
     /// block (the rare rejection path is out of line and takes its
     /// stream by value, so nothing escapes the registers). Every stream
@@ -352,13 +342,16 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         };
         let sigma_in = self.nonideal.input_noise_sigma;
         let slew_gain = self.nonideal.jitter_slew_gain;
-        let (sigma1, sigma2) = (self.int1.noise_sigma, self.int2.noise_sigma);
-        let (sigma_c, sigma_r) = (self.comparator.noise_sigma, self.dac.reference_noise_sigma);
+        let (sigma2, sigma_r) = (self.stage2_sigma, self.nonideal.reference_noise_sigma);
         let mut n_in = self.input_noise.clone();
-        let mut n1 = self.int1.noise.clone();
-        let mut n2 = self.int2.noise.clone();
-        let mut nc = self.comparator.noise.clone();
-        let mut nd = self.dac.noise.clone();
+        let mut n2 = self.stage2_noise.clone();
+        let mut nr = self.reference_noise.clone();
+        // The first integrator's noise slot: zero, as in `step`, but a
+        // zero the optimiser cannot see. With a visible zero, or no term
+        // at all, LLVM stops running the two integrator updates as one
+        // packed add and clamp (`addpd`/`maxpd` become scalar `maxsd`
+        // clamps), and the lane slows by 12-26%.
+        let z1 = std::hint::black_box(0.0);
         let (mut x1, mut x2) = (self.int1.state, self.int2.state);
         // The last decision, carried as a comparator margin whose sign
         // is the decision (see `step_lane`). The comparator and DAC
@@ -370,16 +363,15 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         let mut word = 0u64;
         let mut filled = 0usize;
         for &x in input {
-            // Sampled-input impairments, then the comparator, DAC and
-            // integrator draws — each stream in `step`'s order.
+            // Sampled-input impairments, then the reference and
+            // second-integrator draws — each stream in `step`'s order.
             let jitter = slew_gain * (x - prev);
             prev = x;
             let u = x + n_in.gaussian_inline(xs, sigma_in) + n_in.gaussian_inline(xs, jitter.abs());
             let rows = Rows {
                 u,
-                zc: nc.gaussian_inline(xs, sigma_c),
-                zr: nd.gaussian_inline(xs, sigma_r),
-                z1: n1.gaussian_inline(xs, sigma1),
+                zr: nr.gaussian_inline(xs, sigma_r),
+                z1,
                 z2: n2.gaussian_inline(xs, sigma2),
             };
             // The history as two compares, so each select keyed on it
@@ -417,10 +409,8 @@ impl DeltaSigmaModulator for SigmaDelta2 {
         (self.int1.saturated, self.int2.saturated) = (sat1, sat2);
         self.prev_input = prev;
         self.input_noise = n_in;
-        self.int1.noise = n1;
-        self.int2.noise = n2;
-        self.comparator.noise = nc;
-        self.dac.noise = nd;
+        self.stage2_noise = n2;
+        self.reference_noise = nr;
         self.saturation_events += saturations;
         self.steps += input.len() as u64;
     }
@@ -442,14 +432,13 @@ struct Consts {
     a2: f64,
 }
 
-/// The per-clock values one clock step consumes: the impaired input and
-/// the four pre-multiplied noise draws.
+/// The per-clock values one clock step consumes: the impaired input,
+/// the two integrators' noise terms and the reference-noise draw.
 #[derive(Debug, Clone, Copy)]
 struct Rows {
     u: f64,
     z1: f64,
     z2: f64,
-    zc: f64,
     zr: f64,
 }
 
@@ -477,7 +466,7 @@ fn clamp_sat(next: f64, sat: f64) -> (f64, bool) {
 /// The comparator's `x2 >= threshold` is returned as the margin
 /// `x2 - threshold`, whose sign is the same decision for every `x2`,
 /// infinite or NaN included: the threshold is finite (validated offset
-/// and hysteresis, finite noise), and a difference of distinct doubles
+/// and hysteresis), and a difference of distinct doubles
 /// never rounds to zero. A caller can then key the next clock's
 /// history on a float compare, which compiles to a mask blend where a
 /// `bool` history becomes a branch.
@@ -493,12 +482,12 @@ fn step_lane(
     comp_last_pos: bool,
     dac_last_pos: bool,
 ) -> (f64, bool, bool) {
-    // Comparator (delaying loop): x2 against offset − h·last + noise,
-    // with last = ±1.0 the previous decision.
+    // Comparator (delaying loop): x2 against offset − h·last, with
+    // last = ±1.0 the previous decision.
     let margin = select_unpredictable(
         comp_last_pos,
-        *x2 - (c.off - c.hyst * 1.0 + r.zc),
-        *x2 - (c.off - c.hyst * -1.0 + r.zc),
+        *x2 - (c.off - c.hyst * 1.0),
+        *x2 - (c.off - c.hyst * -1.0),
     );
     let vpos = margin >= 0.0;
     // 1-bit DAC for either outcome: positive-level mismatch, rising-edge
@@ -533,6 +522,7 @@ pub struct SigmaDelta1 {
     comparator: Comparator,
     dac: FeedbackDac,
     input_noise: NoiseSource,
+    reference_noise: NoiseSource,
     nonideal: NonIdealities,
     prev_input: f64,
 }
@@ -546,30 +536,18 @@ impl SigmaDelta1 {
     pub fn new(nonideal: NonIdealities) -> Result<Self, AnalogError> {
         nonideal.validate()?;
         let mut root = NoiseSource::from_seed(nonideal.seed ^ 0x1111_1111);
-        let n1 = root.split();
-        let nc = root.split();
-        let nd = root.split();
+        // As in `SigmaDelta2`: the integrator's and the comparator's
+        // streams are split only to keep the live streams' seeds.
+        root.split();
+        root.split();
+        let reference_noise = root.split();
         let input_noise = root.split();
         Ok(SigmaDelta1 {
-            int: ScIntegrator::new(
-                nonideal.opamp_dc_gain,
-                nonideal.integrator_saturation,
-                0.0,
-                n1,
-            ),
-            comparator: Comparator::new(
-                nonideal.comparator_offset,
-                nonideal.comparator_hysteresis,
-                0.0,
-                nc,
-            ),
-            dac: FeedbackDac::new(
-                nonideal.dac_level_mismatch,
-                nonideal.dac_isi,
-                nonideal.reference_noise_sigma,
-                nd,
-            ),
+            int: ScIntegrator::new(nonideal.opamp_dc_gain, nonideal.integrator_saturation),
+            comparator: Comparator::new(nonideal.comparator_offset, nonideal.comparator_hysteresis),
+            dac: FeedbackDac::new(nonideal.dac_level_mismatch, nonideal.dac_isi),
             input_noise,
+            reference_noise,
             nonideal,
             prev_input: 0.0,
         })
@@ -584,8 +562,11 @@ impl DeltaSigmaModulator for SigmaDelta1 {
             + self.input_noise.gaussian(jitter.abs());
         self.prev_input = input;
         let v = self.comparator.decide(self.int.state());
-        let vf = self.dac.convert(v);
-        self.int.update(u - vf);
+        let zr = self
+            .reference_noise
+            .gaussian(self.nonideal.reference_noise_sigma);
+        let vf = self.dac.convert(v) * (1.0 + zr);
+        self.int.update(u - vf, 0.0);
         v
     }
 
@@ -871,11 +852,10 @@ mod tests {
             }
         }
 
-        /// A modulator with random non-idealities, each of its five
+        /// A modulator with random non-idealities, each of its three
         /// noise streams independently silent or drawing (`new` ties
-        /// the second integrator's noise to the input's and keeps the
-        /// first integrator and the comparator silent, so those three
-        /// are set directly).
+        /// the second integrator's noise to the input's, so that one is
+        /// set directly).
         fn modulator(&mut self) -> SigmaDelta2 {
             let ni = NonIdealities {
                 opamp_dc_gain: if self.next() & 1 == 0 {
@@ -903,9 +883,7 @@ mod tests {
                 seed: self.next(),
             };
             let mut m = SigmaDelta2::new(ni).unwrap();
-            m.int1.noise_sigma = self.sigma();
-            m.int2.noise_sigma = self.sigma();
-            m.comparator.noise_sigma = self.sigma();
+            m.stage2_sigma = self.sigma();
             m
         }
 
@@ -939,14 +917,12 @@ mod tests {
         }
     }
 
-    /// The five split noise streams.
-    fn streams(m: &mut SigmaDelta2) -> [&mut NoiseSource; 5] {
+    /// The three live noise streams.
+    fn streams(m: &mut SigmaDelta2) -> [&mut NoiseSource; 3] {
         [
             &mut m.input_noise,
-            &mut m.int1.noise,
-            &mut m.int2.noise,
-            &mut m.comparator.noise,
-            &mut m.dac.noise,
+            &mut m.stage2_noise,
+            &mut m.reference_noise,
         ]
     }
 
@@ -1038,18 +1014,10 @@ mod tests {
     fn into_variants_match_allocating_defaults() {
         let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 150.0, 0.5, 0.0, 1000);
         let mk = || SigmaDelta2::new(NonIdealities::typical().with_seed(3)).unwrap();
-        let expect_i8 = mk().process(&stim);
-        let mut got_i8 = Vec::new();
-        mk().process_into(&stim, &mut got_i8);
-        assert_eq!(got_i8, expect_i8);
         let expect_f64 = mk().process_to_f64(&stim);
         let mut got_f64 = Vec::new();
         mk().process_to_f64_into(&stim, &mut got_f64);
         assert_eq!(got_f64, expect_f64);
-        let expect_packed = mk().process_packed(&stim);
-        let mut got_packed = PackedBits::new();
-        mk().process_packed_into(&stim, &mut got_packed);
-        assert_eq!(got_packed, expect_packed);
         // The first-order modulator exercises the trait-default block
         // path (no override).
         let mut d1a = SigmaDelta1::new(NonIdealities::typical().with_seed(3)).unwrap();
@@ -1057,6 +1025,55 @@ mod tests {
         let mut bits = PackedBits::new();
         d1b.step_block(&stim, &mut bits);
         assert_eq!(bits, PackedBits::from_bitstream(&d1a.process(&stim)));
+    }
+
+    /// The second integrator's own noise: each clock adds one draw of
+    /// σ = 0.1·σ_in to its update, after the loop's drive.
+    #[test]
+    fn second_stage_noise_is_injected_per_sample() {
+        let mut dsm = SigmaDelta2::new(NonIdealities::ideal().with_input_noise(0.1)).unwrap();
+        let mut sum_sq = 0.0;
+        let n = 50_000;
+        for _ in 0..n {
+            let (x1, x2) = (dsm.int1.state(), dsm.int2.state());
+            let v = f64::from(dsm.step(0.0));
+            // Ideal loop: unit pole, exact ±1 feedback, half-scale gains.
+            let inc = dsm.int2.state() - (x2 + (0.5 * x1 - 0.5 * v));
+            sum_sq += inc * inc;
+        }
+        let sigma = (sum_sq / n as f64).sqrt();
+        assert!(
+            (sigma - 0.01).abs() < 0.0005,
+            "per-step noise sigma {sigma}"
+        );
+    }
+
+    /// Reference noise multiplies the DAC level. The feedback each clock,
+    /// recovered from the first integrator's step, is the decision times
+    /// `1 + z` with `z` small, and a same-seed twin matches it exactly.
+    #[test]
+    fn reference_noise_is_multiplicative_and_seeded() {
+        let ni = NonIdealities::ideal()
+            .with_reference_noise(0.01)
+            .with_seed(3);
+        let (mut a, mut b) = (SigmaDelta2::new(ni).unwrap(), SigmaDelta2::new(ni).unwrap());
+        let mut noisy = 0;
+        for i in 0..100 {
+            let u = if i % 3 == 0 { 0.5 } else { -0.5 };
+            let x1 = a.int1.state();
+            let v = a.step(u);
+            assert_eq!(v, b.step(u));
+            assert_eq!(a.int1.state(), b.int1.state());
+            // x1' = x1 + (0.5·u − 0.5·vf) in the ideal loop.
+            let vf = u - 2.0 * (a.int1.state() - x1);
+            let z = vf / f64::from(v) - 1.0;
+            assert!(z.abs() < 0.1, "noise is small and relative: {z}");
+            noisy += usize::from(z.abs() > 1e-9);
+        }
+        assert!(
+            noisy > 90,
+            "only {noisy} of 100 clocks carried reference noise"
+        );
     }
 
     #[test]

@@ -6,16 +6,11 @@
 //! previous decision). Both are heavily attenuated by the loop gain in a
 //! ΣΔ modulator, which the modulator tests verify.
 
-use crate::noise::NoiseSource;
-
 /// A clocked single-bit comparator.
 #[derive(Debug, Clone)]
 pub struct Comparator {
     pub(crate) offset: f64,
     pub(crate) hysteresis: f64,
-    /// Per-decision input-referred noise sigma.
-    pub(crate) noise_sigma: f64,
-    pub(crate) noise: NoiseSource,
     pub(crate) last: i8,
 }
 
@@ -25,23 +20,20 @@ impl Comparator {
     ///
     /// # Panics
     ///
-    /// Panics when `hysteresis` or `noise_sigma` is negative (static
-    /// sizing error; user input is validated upstream).
-    pub fn new(offset: f64, hysteresis: f64, noise_sigma: f64, noise: NoiseSource) -> Self {
+    /// Panics when `hysteresis` is negative (static sizing error; user
+    /// input is validated upstream).
+    pub fn new(offset: f64, hysteresis: f64) -> Self {
         assert!(hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(noise_sigma >= 0.0, "noise sigma must be non-negative");
         Comparator {
             offset,
             hysteresis,
-            noise_sigma,
-            noise,
             last: 1,
         }
     }
 
-    /// An ideal comparator (zero offset/hysteresis/noise).
+    /// An ideal comparator (zero offset and hysteresis).
     pub fn ideal() -> Self {
-        Comparator::new(0.0, 0.0, 0.0, NoiseSource::from_seed(0))
+        Comparator::new(0.0, 0.0)
     }
 
     /// Decides the sign of `input`, returning +1 or −1.
@@ -50,8 +42,7 @@ impl Comparator {
     /// comparator that last output +1 needs the input to fall below
     /// `offset − h` to flip, and vice versa.
     pub fn decide(&mut self, input: f64) -> i8 {
-        let threshold = self.offset - self.hysteresis * f64::from(self.last)
-            + self.noise.gaussian(self.noise_sigma);
+        let threshold = self.offset - self.hysteresis * f64::from(self.last);
         self.last = if input >= threshold { 1 } else { -1 };
         self.last
     }
@@ -82,7 +73,7 @@ mod tests {
 
     #[test]
     fn offset_shifts_the_threshold() {
-        let mut c = Comparator::new(0.1, 0.0, 0.0, NoiseSource::from_seed(0));
+        let mut c = Comparator::new(0.1, 0.0);
         assert_eq!(c.decide(0.05), -1, "below offset");
         assert_eq!(c.decide(0.15), 1, "above offset");
     }
@@ -90,7 +81,7 @@ mod tests {
     #[test]
     fn hysteresis_resists_small_reversals() {
         let h = 0.2;
-        let mut c = Comparator::new(0.0, h, 0.0, NoiseSource::from_seed(0));
+        let mut c = Comparator::new(0.0, h);
         assert_eq!(c.decide(1.0), 1);
         // A small negative input does not flip a +1 comparator whose
         // flip threshold is -h.
@@ -104,7 +95,7 @@ mod tests {
 
     #[test]
     fn reset_restores_positive_history() {
-        let mut c = Comparator::new(0.0, 0.5, 0.0, NoiseSource::from_seed(0));
+        let mut c = Comparator::new(0.0, 0.5);
         c.decide(-10.0);
         assert_eq!(c.last_decision(), -1);
         c.reset();
@@ -112,28 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn comparator_noise_randomizes_marginal_decisions() {
-        let mut c = Comparator::new(0.0, 0.0, 0.05, NoiseSource::from_seed(9));
-        let mut ones = 0;
-        let n = 10_000;
-        for _ in 0..n {
-            if c.decide(0.0) == 1 {
-                ones += 1;
-            }
-        }
-        let ratio = ones as f64 / n as f64;
-        assert!(
-            (0.45..0.55).contains(&ratio),
-            "zero input with noise must flip ~50/50, got {ratio}"
-        );
-        // Far-from-threshold decisions are unaffected.
-        assert_eq!(c.decide(1.0), 1);
-        assert_eq!(c.decide(-1.0), -1);
-    }
-
-    #[test]
     #[should_panic(expected = "hysteresis")]
     fn negative_hysteresis_is_rejected() {
-        let _ = Comparator::new(0.0, -0.1, 0.0, NoiseSource::from_seed(0));
+        let _ = Comparator::new(0.0, -0.1);
     }
 }
