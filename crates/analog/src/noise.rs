@@ -254,8 +254,8 @@ impl NoiseSource {
         z * sigma
     }
 
-    /// Derives an independent child source (splitting streams for the two
-    /// integrators, the comparator, etc.).
+    /// Derives an independent child source (a modulator splits one per
+    /// noise stream from its seeded root).
     pub fn split(&mut self) -> NoiseSource {
         NoiseSource::from_seed(self.rng.next_u64())
     }
