@@ -200,9 +200,10 @@ impl SigmaDelta2 {
         coeffs.validate()?;
         nonideal.validate()?;
         let mut root = NoiseSource::from_seed(nonideal.seed);
-        // Five streams are split, in this order, so every seed stays
-        // where it has always been; the first integrator's (first) and
-        // the comparator's (third) never draw and are dropped.
+        // Splitting five streams in this order pins the live streams'
+        // seeds, and with them every seeded output. The first and third
+        // are unused placeholders: the first integrator and the
+        // comparator draw no noise.
         root.split();
         let stage2_noise = root.split();
         root.split();
@@ -536,8 +537,8 @@ impl SigmaDelta1 {
     pub fn new(nonideal: NonIdealities) -> Result<Self, AnalogError> {
         nonideal.validate()?;
         let mut root = NoiseSource::from_seed(nonideal.seed ^ 0x1111_1111);
-        // As in `SigmaDelta2`: the integrator's and the comparator's
-        // streams are split only to keep the live streams' seeds.
+        // As in `SigmaDelta2`, the first two splits are unused
+        // placeholders that pin the live streams' seeds.
         root.split();
         root.split();
         let reference_noise = root.split();
