@@ -21,7 +21,6 @@ use tonos_analog::frontend::{CapacitiveFrontEnd, VoltageInput};
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::mux::AnalogMux;
 use tonos_analog::power::PowerModel;
-use tonos_dsp::bits::PackedBits;
 use tonos_mems::array::SensorArray;
 use tonos_mems::units::{Farads, Pascals, Volts};
 
@@ -279,47 +278,11 @@ impl SensorChip {
 
     /// Converts one *pressure frame*: the element pressures are held for
     /// `clocks` modulator cycles (the mechanics are static at this time
-    /// scale) and the resulting ±1 bitstream is returned as floats for
-    /// the decimation filter.
-    ///
-    /// This is the legacy representation; the hot path is
-    /// [`SensorChip::convert_frame_packed`], which this method expands.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capacitance-evaluation failures.
-    pub fn convert_frame(
-        &mut self,
-        pressures: &[Pascals],
-        clocks: usize,
-    ) -> Result<Vec<f64>, SystemError> {
-        Ok(self.convert_frame_packed(pressures, clocks)?.to_f64_vec())
-    }
-
-    /// Converts one pressure frame into the modulator's native packed
-    /// single-bit stream (one bit per clock, 64 clocks per `u64` word) —
-    /// no per-bit `f64` materialization between modulator and decimator.
-    ///
-    /// Bit-exact against [`SensorChip::convert_frame`]: the two differ
-    /// only in how the identical bit sequence is carried.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capacitance-evaluation failures.
-    pub fn convert_frame_packed(
-        &mut self,
-        pressures: &[Pascals],
-        clocks: usize,
-    ) -> Result<PackedBits, SystemError> {
-        let mut scratch = ConversionScratch::with_frame_capacity(clocks);
-        self.convert_frame_packed_into(pressures, clocks, &mut scratch)?;
-        Ok(scratch.bits)
-    }
-
-    /// [`SensorChip::convert_frame_packed`] into caller-owned scratch —
-    /// the zero-allocation hot path. The packed bitstream lands in
-    /// `scratch.bits`; `scratch.inputs` holds the frame's modulator
-    /// inputs as a side product.
+    /// scale) and the modulator's single-bit stream lands packed in
+    /// `scratch.bits` (one bit per clock, 64 clocks per `u64` word), with
+    /// no per-bit `f64` between modulator and decimator. `scratch.inputs`
+    /// holds the frame's modulator inputs as a side product; the scratch
+    /// is caller-owned, so the hot path allocates nothing.
     ///
     /// Bit-exact against the per-sample path: the settled mux emits a
     /// constant, so the input fill and the modulator's block stepper
@@ -364,16 +327,8 @@ impl SensorChip {
     }
 
     /// Converts a block through the auxiliary differential voltage input
-    /// (electrical characterization, §3/§3.1). One input sample per
-    /// modulator clock.
-    pub fn convert_voltage_block(&mut self, inputs: &[Volts]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(inputs.len());
-        self.convert_voltage_block_into(inputs, &mut out);
-        out
-    }
-
-    /// [`SensorChip::convert_voltage_block`] into a caller-owned buffer
-    /// (cleared, then filled) — the allocation-free variant.
+    /// (electrical characterization, §3/§3.1), one input sample per
+    /// modulator clock, into `out` as ±1.0 bits (cleared, then filled).
     pub fn convert_voltage_block_into(&mut self, inputs: &[Volts], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(inputs.len());
@@ -401,6 +356,13 @@ mod tests {
 
     fn uniform_frame(mmhg: f64) -> Vec<Pascals> {
         vec![Pascals::from_mmhg(MillimetersHg(mmhg)); 4]
+    }
+
+    fn convert(chip: &mut SensorChip, frame: &[Pascals], clocks: usize) -> Vec<f64> {
+        let mut scratch = ConversionScratch::new();
+        chip.convert_frame_packed_into(frame, clocks, &mut scratch)
+            .unwrap();
+        scratch.bits.to_f64_vec()
     }
 
     #[test]
@@ -433,7 +395,7 @@ mod tests {
         // Bitstream mean must increase when the pressure (hence ΔC, hence
         // the modulator input) increases.
         let mean_at = |chip: &mut SensorChip, mmhg: f64| {
-            let bits = chip.convert_frame(&uniform_frame(mmhg), 40_000).unwrap();
+            let bits = convert(chip, &uniform_frame(mmhg), 40_000);
             bits[2000..].iter().sum::<f64>() / (bits.len() - 2000) as f64
         };
         let low = mean_at(&mut chip, 0.0);
@@ -449,7 +411,8 @@ mod tests {
     #[test]
     fn voltage_input_bypasses_the_transducer() {
         let mut chip = chip();
-        let bits = chip.convert_voltage_block(&vec![Volts(0.625); 40_000]);
+        let mut bits = Vec::new();
+        chip.convert_voltage_block_into(&vec![Volts(0.625); 40_000], &mut bits);
         let mean = bits[2000..].iter().sum::<f64>() / (bits.len() - 2000) as f64;
         // 0.625 V / 2.5 V = 0.25 FS.
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
@@ -468,7 +431,7 @@ mod tests {
         let mean_for = |chip: &mut SensorChip, row: usize, col: usize, frame: &[Pascals]| {
             chip.select_element(row, col, frame).unwrap();
             chip.reset_modulator();
-            let bits = chip.convert_frame(frame, 40_000).unwrap();
+            let bits = convert(chip, frame, 40_000);
             bits[4000..].iter().sum::<f64>() / (bits.len() - 4000) as f64
         };
         let e10_quiet = mean_for(&mut chip, 1, 0, &quiet_frame);
@@ -527,7 +490,7 @@ mod tests {
     #[test]
     fn no_overload_in_clinical_range() {
         let mut chip = chip();
-        let _ = chip.convert_frame(&uniform_frame(250.0), 20_000).unwrap();
+        convert(&mut chip, &uniform_frame(250.0), 20_000);
         assert_eq!(chip.overload_ratio(), 0.0);
     }
 }

@@ -23,6 +23,10 @@ use crate::auth::LinkKey;
 use crate::decode::{FrameDecoder, LinkEvent};
 use crate::encode::FrameEncoder;
 
+/// Pressure frames batched into each wire frame: 8 ms of signal per
+/// frame at the paper rate.
+const FRAMES_PER_PACKET: usize = 8;
+
 /// Appends every bit of `src` to `dst`, word-wise.
 fn append_bits(dst: &mut PackedBits, src: &PackedBits) {
     let mut remaining = src.len();
@@ -52,7 +56,6 @@ pub struct DeviceSimulator {
     truth: Vec<MillimetersHg>,
     elements: usize,
     osr: usize,
-    frames_per_packet: usize,
     cursor: usize,
     frame_buf: Vec<Pascals>,
     packet: PackedBits,
@@ -95,7 +98,6 @@ impl DeviceSimulator {
             truth,
             elements,
             osr,
-            frames_per_packet: 8,
             cursor: 0,
             frame_buf: Vec::with_capacity(elements),
             packet: PackedBits::new(),
@@ -166,14 +168,6 @@ impl DeviceSimulator {
         replayed
     }
 
-    /// Pressure frames batched into each wire frame (default 8, i.e.
-    /// 8 ms of signal per frame at the paper rate). Clamped to ≥ 1.
-    #[must_use]
-    pub fn with_frames_per_packet(mut self, frames: usize) -> Self {
-        self.frames_per_packet = frames.max(1);
-        self
-    }
-
     /// Reports the encoder's transmit counters into the given registry.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
@@ -221,7 +215,7 @@ impl DeviceSimulator {
             }
         }
         self.packet.clear();
-        for _ in 0..self.frames_per_packet {
+        for _ in 0..FRAMES_PER_PACKET {
             let Some(&mmhg) = self.truth.get(self.cursor) else {
                 break;
             };

@@ -278,7 +278,6 @@ pub struct HostPipeline {
     calibration: LinkCalibration,
     policy: GapPolicy,
     analyzer: Option<OnlineAnalyzer>,
-    monitor_events: Vec<MonitorEvent>,
     last_raw: Option<f64>,
     /// Outputs still flagged after a gap (decimator memory span).
     taint: usize,
@@ -351,7 +350,6 @@ impl HostPipeline {
             calibration,
             policy,
             analyzer: None,
-            monitor_events: Vec::new(),
             last_raw: None,
             taint: 0,
             taint_span,
@@ -554,12 +552,6 @@ impl HostPipeline {
         self.skipped_counter.add(now.skipped - self.flushed.skipped);
         self.resets_counter.add(now.resets - self.flushed.resets);
         self.flushed = now;
-    }
-
-    /// Events raised by the online analyzer since the last drain
-    /// (empty without an analyzer).
-    pub fn drain_events(&mut self) -> Vec<MonitorEvent> {
-        std::mem::take(&mut self.monitor_events)
     }
 
     /// Handles one device→host control frame.
@@ -767,8 +759,7 @@ impl HostPipeline {
         let Some(analyzer) = self.analyzer.as_mut() else {
             return;
         };
-        let events = analyzer.push_flagged(mmhg, concealed);
-        for event in &events {
+        for event in analyzer.push_flagged(mmhg, concealed) {
             match event {
                 MonitorEvent::Beat {
                     systolic,
@@ -782,7 +773,6 @@ impl HostPipeline {
                 _ => self.alarms += 1,
             }
         }
-        self.monitor_events.extend(events);
     }
 }
 
