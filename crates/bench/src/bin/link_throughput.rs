@@ -24,6 +24,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use tonos_bench::best_of;
 use tonos_core::config::SystemConfig;
 use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::DecimatorConfig;
@@ -37,17 +38,6 @@ use tonos_telemetry::names;
 /// Payload bits per benchmark frame: 8 modulator-output frames' worth
 /// at the paper OSR, the same packet size [`DeviceSimulator`] uses.
 const FRAME_BITS: usize = 1024;
-
-/// Best wall-clock seconds over `reps` runs of `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn test_frames(n: usize) -> Vec<PackedBits> {
     (0..n)
@@ -63,13 +53,16 @@ fn test_frames(n: usize) -> Vec<PackedBits> {
 fn encode_rates(reps: usize, frames: usize) -> (f64, f64, Vec<u8>) {
     let chunks = test_frames(frames);
     let mut wire = Vec::new();
-    let secs = best_of(reps, || {
-        wire.clear();
-        let mut enc = FrameEncoder::new(0);
-        for c in &chunks {
-            enc.encode_into(c, &mut wire).unwrap();
-        }
-    });
+    let [secs] = best_of(
+        reps,
+        [&mut || {
+            wire.clear();
+            let mut enc = FrameEncoder::new(0);
+            for c in &chunks {
+                enc.encode_into(c, &mut wire).unwrap();
+            }
+        }],
+    );
     let bits = (frames * FRAME_BITS) as f64;
     (frames as f64 / secs, bits / secs / 1e6, wire)
 }
@@ -77,44 +70,52 @@ fn encode_rates(reps: usize, frames: usize) -> (f64, f64, Vec<u8>) {
 /// Decode throughput over an already-encoded stream.
 fn decode_rates(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) {
     let mut events = Vec::new();
-    let secs = best_of(reps, || {
-        events.clear();
-        let mut dec = FrameDecoder::new();
-        dec.push(wire, &mut events);
-        assert_eq!(dec.stats().frames, frames as u64);
-    });
+    let [secs] = best_of(
+        reps,
+        [&mut || {
+            events.clear();
+            let mut dec = FrameDecoder::new();
+            dec.push(wire, &mut events);
+            assert_eq!(dec.stats().frames, frames as u64);
+        }],
+    );
     let bits = (frames * FRAME_BITS) as f64;
     (frames as f64 / secs, bits / secs / 1e6)
 }
 
 /// Full host pipeline (decode + gap tracking + decimate) Mbit/s, and
-/// the bare decimator on the identical payload as the in-run baseline.
+/// the bare decimator on the identical payload as the in-run baseline,
+/// timed as interleaved legs.
 fn pipeline_vs_bare_mbps(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) {
     let chunks = test_frames(frames);
     let bits = (frames * FRAME_BITS) as f64;
 
     let mut samples = Vec::new();
-    let pipe_secs = best_of(reps, || {
-        samples.clear();
-        let mut pipe = HostPipeline::new(
-            &DecimatorConfig::paper_default(),
-            LinkCalibration::identity(),
-            GapPolicy::HoldLast,
-        )
-        .unwrap();
-        pipe.push_bytes(wire, &mut samples);
-        assert_eq!(samples.len(), frames * FRAME_BITS / 128);
-    });
-
     let mut out = Vec::new();
-    let bare_secs = best_of(reps, || {
-        out.clear();
-        let mut dec = DecimatorConfig::paper_default().build().unwrap();
-        for c in &chunks {
-            dec.process_packed_into(c, &mut out);
-        }
-        assert_eq!(out.len(), frames * FRAME_BITS / 128);
-    });
+    let [pipe_secs, bare_secs] = best_of(
+        reps,
+        [
+            &mut || {
+                samples.clear();
+                let mut pipe = HostPipeline::new(
+                    &DecimatorConfig::paper_default(),
+                    LinkCalibration::identity(),
+                    GapPolicy::HoldLast,
+                )
+                .unwrap();
+                pipe.push_bytes(wire, &mut samples);
+                assert_eq!(samples.len(), frames * FRAME_BITS / 128);
+            },
+            &mut || {
+                out.clear();
+                let mut dec = DecimatorConfig::paper_default().build().unwrap();
+                for c in &chunks {
+                    dec.process_packed_into(c, &mut out);
+                }
+                assert_eq!(out.len(), frames * FRAME_BITS / 128);
+            },
+        ],
+    );
 
     // Fault-free equivalence: the hard correctness gate.
     for (w, d) in samples.iter().zip(&out) {

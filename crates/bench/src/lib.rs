@@ -19,6 +19,13 @@
 //!
 //! Each binary prints its table(s) to stdout; run them with
 //! `cargo run --release -p tonos-bench --bin <name>`.
+//!
+//! Four more binaries — `hotpath_throughput`, `link_throughput`,
+//! `scope_throughput` and `historian_throughput` — each write one
+//! `BENCH_*.json` and exit nonzero when a gate misses; every best-of
+//! figure among them is timed by [`best_of`].
+
+use std::time::Instant;
 
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
@@ -100,6 +107,31 @@ pub fn snr_at(
     Ok(characterize_adc(nonideal, cfg, amplitude, 15.625, n_out)?
         .metrics
         .snr_db)
+}
+
+/// Interleaved best-of timing: runs `rounds` rounds, each running every
+/// leg once in order, and returns each leg's fastest round in seconds.
+///
+/// Host speed drifts within a run (frequency scaling, neighbours on a
+/// shared host). Interleaving puts every leg of a comparison under the
+/// same drift, and a minimum over rounds spread across the run is the
+/// leg's least-disturbed time, so neither one slow patch nor the order
+/// of the legs decides a figure or a ratio.
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero.
+pub fn best_of<const N: usize>(rounds: usize, mut legs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    assert!(rounds > 0, "best_of needs at least one round");
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (leg, best) in legs.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            leg();
+            *best = best.min(t.elapsed().as_secs_f64());
+        }
+    }
+    best
 }
 
 /// Prints a fixed-width ASCII table.
