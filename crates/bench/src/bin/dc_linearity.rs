@@ -10,24 +10,14 @@
 use tonos_analog::characterize::DcTransfer;
 use tonos_analog::modulator::SigmaDelta2;
 use tonos_analog::nonideal::NonIdealities;
-use tonos_bench::{fmt, print_table};
-use tonos_dsp::decimator::DecimatorConfig;
+use tonos_bench::{fmt, print_table, settled_dc};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== E10: static (DC) linearity of the 12-bit converter ==");
 
     let mut dsm = SigmaDelta2::new(NonIdealities::typical())?;
     let lsb = 1.0 / 2048.0;
-    // Decimation function: the paper chain, settled-mean output.
-    let decimate = |bits: &[f64]| -> f64 {
-        let mut dec = DecimatorConfig::paper_default()
-            .build()
-            .expect("paper decimator is valid");
-        let out = dec.process(bits);
-        let settled = &out[dec.settling_output_samples() + 4..];
-        settled.iter().sum::<f64>() / settled.len() as f64
-    };
-    let transfer = DcTransfer::measure(&mut dsm, 41, 0.85, 128 * 120, lsb, decimate)?;
+    let transfer = DcTransfer::measure(&mut dsm, 41, 0.85, 128 * 120, lsb, settled_dc)?;
 
     let mut rows = Vec::new();
     for point in transfer.points.iter().step_by(5) {

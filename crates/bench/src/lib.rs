@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
-use tonos_dsp::decimator::DecimatorConfig;
+use tonos_dsp::decimator::{DecimatorConfig, TwoStageDecimator};
 use tonos_dsp::metrics::DynamicMetrics;
 use tonos_dsp::signal::sine_wave;
 use tonos_dsp::spectrum::Spectrum;
@@ -107,6 +107,17 @@ pub fn snr_at(
     Ok(characterize_adc(nonideal, cfg, amplitude, 15.625, n_out)?
         .metrics
         .snr_db)
+}
+
+/// The E10 decimation function for
+/// [`tonos_analog::characterize::DcTransfer::measure`]: one DC point's
+/// bitstream through a fresh paper chain, averaged over the outputs
+/// after the chain has settled.
+pub fn settled_dc(bits: &[f64]) -> f64 {
+    let mut dec = TwoStageDecimator::paper_default();
+    let out = dec.process(bits);
+    let settled = &out[dec.settling_output_samples() + 4..];
+    settled.iter().sum::<f64>() / settled.len() as f64
 }
 
 /// Interleaved best-of timing: runs `rounds` rounds, each running every
@@ -235,6 +246,69 @@ mod tests {
             hi > lo + 20.0,
             "2nd-order ΣΔ gains ~15 dB/octave of OSR: {lo:.1} -> {hi:.1}"
         );
+    }
+
+    /// 64-bit FNV-1a over the little-endian bytes of each word.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    /// Pins `characterize_adc`'s decimated tail at full precision (the
+    /// experiments log prints SNRs to 0.1 dB) through its spectrum: the
+    /// paper chain, and OSR 512 unquantized as `snr_at` builds it, where
+    /// one CIC period spans two 64-bit words of the bitstream.
+    #[test]
+    fn characterization_matches_its_golden_digests() {
+        let digest = |decimator, amplitude, n_out| {
+            let r = characterize_adc(
+                NonIdealities::typical(),
+                decimator,
+                amplitude,
+                15.625,
+                n_out,
+            )
+            .unwrap();
+            fnv1a(r.spectrum.power().iter().map(|p| p.to_bits()))
+        };
+        let osr_512 = DecimatorConfig {
+            osr: 512,
+            cutoff_hz: 125.0,
+            output_bits: None,
+            ..DecimatorConfig::paper_default()
+        };
+        assert_eq!(
+            digest(DecimatorConfig::paper_default(), 0.85, 2048),
+            0x17C8_EA6C_16FA_BD87
+        );
+        assert_eq!(digest(osr_512, 0.5, 256), 0x9B05_B6C5_0D7C_9EAB);
+    }
+
+    /// Pins every point of the E10 DC sweep, as `dc_linearity` runs it,
+    /// at full precision (the log prints six digits).
+    #[test]
+    fn dc_transfer_matches_its_golden_digest() {
+        let mut dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
+        let t = tonos_analog::characterize::DcTransfer::measure(
+            &mut dsm,
+            41,
+            0.85,
+            128 * 120,
+            1.0 / 2048.0,
+            settled_dc,
+        )
+        .unwrap();
+        let words = t
+            .points
+            .iter()
+            .flat_map(|p| [p.input, p.output, p.inl_lsb])
+            .chain([t.gain, t.offset])
+            .map(f64::to_bits);
+        assert_eq!(fnv1a(words), 0x8582_2224_BD8E_3926);
     }
 
     #[test]
