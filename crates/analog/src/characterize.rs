@@ -11,6 +11,8 @@
 //! let the decimation chain settle, average the settled output, repeat
 //! across the range, then fit a least-squares line and report residuals.
 
+use tonos_dsp::bits::PackedBits;
+
 use crate::modulator::DeltaSigmaModulator;
 use crate::AnalogError;
 
@@ -44,7 +46,7 @@ impl DcTransfer {
     /// Measures the transfer curve of a modulator through a caller-
     /// supplied decimation function.
     ///
-    /// `decimate` receives the ±1.0 bitstream for one DC point and must
+    /// `decimate` receives the packed bitstream for one DC point and must
     /// return the *settled mean output* (full-scale units) — typically a
     /// `tonos_dsp` two-stage decimator with the transient discarded. The
     /// modulator is reset before every point so points are independent.
@@ -64,7 +66,7 @@ impl DcTransfer {
     ) -> Result<Self, AnalogError>
     where
         M: DeltaSigmaModulator,
-        F: FnMut(&[f64]) -> f64,
+        F: FnMut(&PackedBits) -> f64,
     {
         if points < 3 {
             return Err(AnalogError::InvalidParameter(
@@ -87,16 +89,15 @@ impl DcTransfer {
 
         let mut inputs = Vec::with_capacity(points);
         let mut outputs = Vec::with_capacity(points);
-        // One stimulus and one bitstream buffer reused across all points
-        // (the non-allocating `process_to_f64_into` path).
+        // One stimulus and one bitstream buffer reused across all points.
         let mut stimulus = vec![0.0; samples_per_point];
-        let mut bits = Vec::with_capacity(samples_per_point);
+        let mut bits = PackedBits::with_capacity(samples_per_point);
         for i in 0..points {
             let u = -range + 2.0 * range * i as f64 / (points - 1) as f64;
             dsm.reset();
             stimulus.fill(u);
             bits.clear();
-            dsm.process_to_f64_into(&stimulus, &mut bits);
+            dsm.step_block(&stimulus, &mut bits);
             inputs.push(u);
             outputs.push(decimate(&bits));
         }
@@ -159,9 +160,10 @@ mod tests {
 
     /// Decimation stand-in for unit tests: the mean of the bitstream tail
     /// (charge balance makes it the converter's DC output).
-    fn tail_mean(bits: &[f64]) -> f64 {
-        let tail = &bits[bits.len() / 4..];
-        tail.iter().sum::<f64>() / tail.len() as f64
+    fn tail_mean(bits: &PackedBits) -> f64 {
+        let skip = bits.len() / 4;
+        let tail = bits.iter().skip(skip).map(|b| if b { 1.0 } else { -1.0 });
+        tail.sum::<f64>() / (bits.len() - skip) as f64
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl CapacitiveFrontEnd {
     pub fn input_fraction(&self, sensed: Farads) -> f64 {
         (sensed.value() - self.reference.value()) / self.feedback.value()
     }
-
-    /// The capacitance difference corresponding to one modulator
-    /// full-scale unit (equals `Cfb`).
-    pub fn full_scale_delta(&self) -> Farads {
-        self.feedback
-    }
 }
 
 /// The auxiliary differential voltage interface used for electrical
@@ -170,7 +164,6 @@ mod tests {
         assert!((u - 1.0).abs() < 1e-12, "{u}");
         let u = fe.input_fraction(Farads::from_femtofarads(17.0));
         assert!((u + 0.5).abs() < 1e-12, "{u}");
-        assert!((fe.full_scale_delta().to_femtofarads() - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -40,12 +40,13 @@
 //! ```
 //! use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 //! use tonos_analog::nonideal::NonIdealities;
+//! use tonos_dsp::bits::PackedBits;
 //!
 //! # fn main() -> Result<(), tonos_analog::AnalogError> {
 //! let mut dsm = SigmaDelta2::new(NonIdealities::ideal())?;
-//! let bits = dsm.process(&vec![0.25; 65_536]);
-//! let mean: f64 = bits.iter().map(|&b| f64::from(b)).sum::<f64>() / bits.len() as f64;
-//! assert!((mean - 0.25).abs() < 0.01, "bitstream mean tracks the input");
+//! let mut bits = PackedBits::new();
+//! dsm.step_block(&vec![0.25; 65_536], &mut bits);
+//! assert!((bits.mean() - 0.25).abs() < 0.01, "bitstream mean tracks the input");
 //! # Ok(())
 //! # }
 //! ```

@@ -37,9 +37,13 @@ pub const PAPER_SAMPLE_RATE_HZ: f64 = 128_000.0;
 
 /// Common interface of the single-bit modulators.
 ///
-/// The output is always ±1 (`i8`), the value the 1-bit DAC feeds back.
+/// Two ways in: per-sample [`DeltaSigmaModulator::step`], the oracle,
+/// and [`DeltaSigmaModulator::step_block`], the block lane every
+/// conversion runs, whose packed bits feed
+/// `tonos_dsp::decimator::TwoStageDecimator::process_packed_into`.
 pub trait DeltaSigmaModulator {
-    /// Converts one input sample (full-scale ±1.0) to one output bit.
+    /// Converts one input sample (full-scale ±1.0) to one output bit,
+    /// ±1 (`i8`): the value the 1-bit DAC feeds back.
     fn step(&mut self, input: f64) -> i8;
 
     /// Resets all loop state (integrators, comparator, input history) but
@@ -49,36 +53,8 @@ pub trait DeltaSigmaModulator {
     /// The modulator order (noise-shaping order).
     fn order(&self) -> usize;
 
-    /// Converts a block of samples.
-    fn process(&mut self, input: &[f64]) -> Vec<i8> {
-        input.iter().map(|&u| self.step(u)).collect()
-    }
-
-    /// Converts a block into ±1.0 floats ready for the decimation chain.
-    fn process_to_f64(&mut self, input: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(input.len());
-        self.process_to_f64_into(input, &mut out);
-        out
-    }
-
-    /// Converts a block, appending ±1.0 floats to caller-owned `out`
-    /// (not cleared first).
-    fn process_to_f64_into(&mut self, input: &[f64], out: &mut Vec<f64>) {
-        out.extend(input.iter().map(|&u| f64::from(self.step(u))));
-    }
-
-    /// Converts a block into a packed single-bit stream — the
-    /// modulator's native output density (one bit per clock, 64 clocks
-    /// per word) and the fast path into
-    /// `tonos_dsp::decimator::TwoStageDecimator::process_packed`.
-    fn process_packed(&mut self, input: &[f64]) -> PackedBits {
-        let mut bits = PackedBits::with_capacity(input.len());
-        self.step_block(input, &mut bits);
-        bits
-    }
-
-    /// Block conversion — the allocation-free hot path. `bits` receives
-    /// the packed output (appended, not cleared).
+    /// Block conversion — the allocation-free lane. `bits` receives the
+    /// packed output, one bit per clock (appended, not cleared).
     ///
     /// **Bit-identical** to calling [`DeltaSigmaModulator::step`] per
     /// sample: implementations may reorder *independent* noise-stream
@@ -235,11 +211,6 @@ impl SigmaDelta2 {
     /// The loop coefficients in use.
     pub fn coefficients(&self) -> Coefficients {
         self.coeffs
-    }
-
-    /// The configured non-idealities.
-    pub fn nonidealities(&self) -> &NonIdealities {
-        &self.nonideal
     }
 
     /// Number of integrator saturation events since construction/reset —
@@ -593,6 +564,11 @@ mod tests {
     use tonos_dsp::spectrum::Spectrum;
     use tonos_dsp::window::Window;
 
+    /// Converts a block through per-sample `step`, the oracle.
+    fn steps(dsm: &mut impl DeltaSigmaModulator, input: &[f64]) -> Vec<i8> {
+        input.iter().map(|&u| dsm.step(u)).collect()
+    }
+
     fn bitstream_mean(bits: &[i8]) -> f64 {
         bits.iter().map(|&b| f64::from(b)).sum::<f64>() / bits.len() as f64
     }
@@ -602,7 +578,7 @@ mod tests {
         let mut dsm = SigmaDelta2::new(NonIdealities::ideal()).unwrap();
         for &u in &[-0.7, -0.3, 0.0, 0.2, 0.5, 0.8] {
             dsm.reset();
-            let bits = dsm.process(&vec![u; 100_000]);
+            let bits = steps(&mut dsm, &vec![u; 100_000]);
             let mean = bitstream_mean(&bits[1000..]);
             assert!((mean - u).abs() < 0.01, "input {u}: mean {mean}");
         }
@@ -611,7 +587,7 @@ mod tests {
     #[test]
     fn first_order_also_tracks_dc() {
         let mut dsm = SigmaDelta1::new(NonIdealities::ideal()).unwrap();
-        let bits = dsm.process(&vec![0.4; 100_000]);
+        let bits = steps(&mut dsm, &vec![0.4; 100_000]);
         let mean = bitstream_mean(&bits[1000..]);
         assert!((mean - 0.4).abs() < 0.01, "mean {mean}");
         assert_eq!(dsm.order(), 1);
@@ -620,7 +596,7 @@ mod tests {
     #[test]
     fn stable_for_large_but_legal_inputs() {
         let mut dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-        let _ = dsm.process(&vec![0.85; 50_000]);
+        let _ = steps(&mut dsm, &vec![0.85; 50_000]);
         assert!(
             dsm.overload_ratio() < 0.001,
             "overload ratio {} at 0.85 FS",
@@ -631,7 +607,7 @@ mod tests {
     #[test]
     fn overload_is_detected_beyond_full_scale() {
         let mut dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-        let _ = dsm.process(&vec![1.4; 20_000]);
+        let _ = steps(&mut dsm, &vec![1.4; 20_000]);
         assert!(
             dsm.overload_ratio() > 0.05,
             "expected saturation at 1.4 FS, ratio {}",
@@ -646,14 +622,16 @@ mod tests {
         let n_in = 128 * (n_out + 64);
         let f = Window::coherent_frequency(1000.0, n_out, 15.625);
         let stimulus = sine_wave(fs, f, amplitude, 0.0, n_in);
-        let bits = dsm.process_to_f64(&stimulus);
+        let mut bits = PackedBits::new();
+        dsm.step_block(&stimulus, &mut bits);
         let mut dec = DecimatorConfig {
             output_bits: None,
             ..DecimatorConfig::paper_default()
         }
         .build()
         .unwrap();
-        let out = dec.process(&bits);
+        let mut out = Vec::new();
+        dec.process_packed_into(&bits, &mut out);
         let settled = &out[out.len() - n_out..];
         let spectrum = Spectrum::from_signal(settled, 1000.0, Window::Hann).unwrap();
         DynamicMetrics::from_spectrum(&spectrum).unwrap().snr_db
@@ -695,23 +673,24 @@ mod tests {
     fn same_seed_reproduces_bitstreams() {
         let mk = || SigmaDelta2::new(NonIdealities::typical().with_seed(77)).unwrap();
         let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 100.0, 0.5, 0.0, 4096);
-        let a = mk().process(&stim);
-        let b = mk().process(&stim);
+        let a = steps(&mut mk(), &stim);
+        let b = steps(&mut mk(), &stim);
         assert_eq!(a, b);
-        let c = SigmaDelta2::new(NonIdealities::typical().with_seed(78))
-            .unwrap()
-            .process(&stim);
+        let c = steps(
+            &mut SigmaDelta2::new(NonIdealities::typical().with_seed(78)).unwrap(),
+            &stim,
+        );
         assert_ne!(a, c);
     }
 
     #[test]
     fn reset_restores_tracking() {
         let mut dsm = SigmaDelta2::new(NonIdealities::ideal()).unwrap();
-        let _ = dsm.process(&vec![0.9; 10_000]);
+        let _ = steps(&mut dsm, &vec![0.9; 10_000]);
         dsm.reset();
         assert_eq!(dsm.saturation_events(), 0);
         assert_eq!(dsm.steps(), 0);
-        let bits = dsm.process(&vec![-0.25; 50_000]);
+        let bits = steps(&mut dsm, &vec![-0.25; 50_000]);
         let mean = bitstream_mean(&bits[1000..]);
         assert!((mean + 0.25).abs() < 0.01);
     }
@@ -755,8 +734,8 @@ mod tests {
         let offset = NonIdealities::ideal().with_comparator_offset(0.01);
         let mut clean = SigmaDelta2::new(base).unwrap();
         let mut offs = SigmaDelta2::new(offset).unwrap();
-        let m_clean = bitstream_mean(&clean.process(&vec![0.3; 200_000])[1000..]);
-        let m_offs = bitstream_mean(&offs.process(&vec![0.3; 200_000])[1000..]);
+        let m_clean = bitstream_mean(&steps(&mut clean, &vec![0.3; 200_000])[1000..]);
+        let m_offs = bitstream_mean(&steps(&mut offs, &vec![0.3; 200_000])[1000..]);
         assert!(
             (m_clean - m_offs).abs() < 0.002,
             "offset leaked to the output: {m_clean} vs {m_offs}"
@@ -792,7 +771,7 @@ mod tests {
         let ni = NonIdealities::ideal().with_dac_level_mismatch(0.02);
         let mean_at = |u: f64| {
             let mut dsm = SigmaDelta2::new(ni).unwrap();
-            let bits = dsm.process(&vec![u; 120_000]);
+            let bits = steps(&mut dsm, &vec![u; 120_000]);
             bitstream_mean(&bits[2000..])
         };
         let m1 = mean_at(0.2);
@@ -813,13 +792,11 @@ mod tests {
         let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 120.0, 0.6, 0.0, 10_000);
         let mut a = SigmaDelta2::new(NonIdealities::typical().with_seed(9)).unwrap();
         let mut b = SigmaDelta2::new(NonIdealities::typical().with_seed(9)).unwrap();
-        let unpacked = a.process(&stim);
-        let packed = b.process_packed(&stim);
+        let unpacked = steps(&mut a, &stim);
+        let mut packed = PackedBits::new();
+        b.step_block(&stim, &mut packed);
         assert_eq!(packed.len(), unpacked.len());
-        assert_eq!(
-            packed,
-            tonos_dsp::bits::PackedBits::from_bitstream(&unpacked)
-        );
+        assert_eq!(packed, unpacked.iter().map(|&b| b > 0).collect());
     }
 
     /// SplitMix64 case generator for the lane proptest: one seed per
@@ -966,7 +943,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(&got, &PackedBits::from_bitstream(&want));
+            prop_assert_eq!(&got, &want.iter().map(|&b| b > 0).collect());
             prop_assert_eq!(block.steps(), scalar.steps());
             prop_assert_eq!(block.saturation_events(), scalar.saturation_events());
             // Every field: integrator states and saturation flags,
@@ -1002,30 +979,27 @@ mod tests {
         let mut block = PackedBits::new();
         block_dsm.step_block(&stim[..7_777], &mut block);
         block_dsm.step_block(&stim[7_777..], &mut block);
-        let steps = mk().process(&stim);
+        let scalar = steps(&mut mk(), &stim);
         assert_eq!(fnv1a(block.iter()), 0xA2D9_F2E4_D337_21B9);
-        assert_eq!(fnv1a(steps.iter().map(|&b| b > 0)), 0xA2D9_F2E4_D337_21B9);
-        let first = SigmaDelta1::new(NonIdealities::typical())
-            .unwrap()
-            .process(&stim);
+        assert_eq!(fnv1a(scalar.iter().map(|&b| b > 0)), 0xA2D9_F2E4_D337_21B9);
+        let first = steps(
+            &mut SigmaDelta1::new(NonIdealities::typical()).unwrap(),
+            &stim,
+        );
         assert_eq!(fnv1a(first.iter().map(|&b| b > 0)), 0x9411_63D8_6C5C_BF82);
     }
 
+    /// The first-order modulator runs the trait-default block path (no
+    /// override).
     #[test]
-    fn into_variants_match_allocating_defaults() {
+    fn default_step_block_matches_per_sample_steps() {
         let stim = sine_wave(PAPER_SAMPLE_RATE_HZ, 150.0, 0.5, 0.0, 1000);
-        let mk = || SigmaDelta2::new(NonIdealities::typical().with_seed(3)).unwrap();
-        let expect_f64 = mk().process_to_f64(&stim);
-        let mut got_f64 = Vec::new();
-        mk().process_to_f64_into(&stim, &mut got_f64);
-        assert_eq!(got_f64, expect_f64);
-        // The first-order modulator exercises the trait-default block
-        // path (no override).
         let mut d1a = SigmaDelta1::new(NonIdealities::typical().with_seed(3)).unwrap();
         let mut d1b = SigmaDelta1::new(NonIdealities::typical().with_seed(3)).unwrap();
         let mut bits = PackedBits::new();
         d1b.step_block(&stim, &mut bits);
-        assert_eq!(bits, PackedBits::from_bitstream(&d1a.process(&stim)));
+        let want: PackedBits = steps(&mut d1a, &stim).iter().map(|&b| b > 0).collect();
+        assert_eq!(bits, want);
     }
 
     /// The second integrator's own noise: each clock adds one draw of
@@ -1081,7 +1055,6 @@ mod tests {
     fn accessors_expose_configuration() {
         let dsm = SigmaDelta2::new(NonIdealities::typical()).unwrap();
         assert_eq!(dsm.coefficients(), Coefficients::boser_wooley());
-        assert_eq!(dsm.nonidealities(), &NonIdealities::typical());
         assert_eq!(dsm.order(), 2);
         assert_eq!(dsm.overload_ratio(), 0.0, "no steps yet");
     }

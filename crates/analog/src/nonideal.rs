@@ -122,12 +122,6 @@ impl NonIdealities {
         self
     }
 
-    /// Replaces the integrator saturation level (chainable).
-    pub fn with_integrator_saturation(mut self, sat: f64) -> Self {
-        self.integrator_saturation = sat;
-        self
-    }
-
     /// Replaces the jitter slew gain (chainable).
     pub fn with_jitter_slew_gain(mut self, gain: f64) -> Self {
         self.jitter_slew_gain = gain;
@@ -229,14 +223,12 @@ mod tests {
             .with_opamp_gain(500.0)
             .with_comparator_offset(-1e-3)
             .with_comparator_hysteresis(5e-4)
-            .with_integrator_saturation(2.0)
             .with_jitter_slew_gain(1e-6);
         assert_eq!(n.seed, 9);
         assert_eq!(n.input_noise_sigma, 1e-4);
         assert_eq!(n.opamp_dc_gain, 500.0);
         assert_eq!(n.comparator_offset, -1e-3);
         assert_eq!(n.comparator_hysteresis, 5e-4);
-        assert_eq!(n.integrator_saturation, 2.0);
         assert_eq!(n.jitter_slew_gain, 1e-6);
         n.validate().unwrap();
     }
@@ -247,10 +239,12 @@ mod tests {
             .with_opamp_gain(0.5)
             .validate()
             .is_err());
-        assert!(NonIdealities::ideal()
-            .with_integrator_saturation(0.0)
-            .validate()
-            .is_err());
+        assert!(NonIdealities {
+            integrator_saturation: 0.0,
+            ..NonIdealities::ideal()
+        }
+        .validate()
+        .is_err());
         assert!(NonIdealities::ideal()
             .with_input_noise(-1.0)
             .validate()

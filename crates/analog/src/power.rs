@@ -78,11 +78,6 @@ impl PowerModel {
         self.bias_current * v + self.switched_capacitance * v * v * fs_hz
     }
 
-    /// Supply current in amperes at an operating point.
-    pub fn supply_current(&self, fs_hz: f64, vdd: Volts) -> f64 {
-        self.power(fs_hz, vdd) / vdd.value()
-    }
-
     /// Energy per conversion (one modulator clock) in joules.
     pub fn energy_per_sample(&self, fs_hz: f64, vdd: Volts) -> f64 {
         self.power(fs_hz, vdd) / fs_hz
@@ -121,7 +116,7 @@ mod tests {
         let m = PowerModel::paper_default();
         let p = m.power(PAPER_SAMPLING_HZ, Volts(PAPER_SUPPLY_V));
         assert!((p - PAPER_POWER_W).abs() < 1e-12, "{p}");
-        let i = m.supply_current(PAPER_SAMPLING_HZ, Volts(PAPER_SUPPLY_V));
+        let i = p / PAPER_SUPPLY_V;
         assert!((i - 2.3e-3).abs() < 1e-6, "2.3 mA at the anchor, got {i}");
     }
 

@@ -47,11 +47,6 @@ impl Comparator {
         self.last
     }
 
-    /// The previous decision (+1 after reset).
-    pub fn last_decision(&self) -> i8 {
-        self.last
-    }
-
     /// Resets the decision history.
     pub fn reset(&mut self) {
         self.last = 1;
@@ -68,7 +63,7 @@ mod tests {
         assert_eq!(c.decide(0.5), 1);
         assert_eq!(c.decide(-0.5), -1);
         assert_eq!(c.decide(0.0), 1, "ties resolve positive");
-        assert_eq!(c.last_decision(), 1);
+        assert_eq!(c.last, 1);
     }
 
     #[test]
@@ -97,9 +92,9 @@ mod tests {
     fn reset_restores_positive_history() {
         let mut c = Comparator::new(0.0, 0.5);
         c.decide(-10.0);
-        assert_eq!(c.last_decision(), -1);
+        assert_eq!(c.last, -1);
         c.reset();
-        assert_eq!(c.last_decision(), 1);
+        assert_eq!(c.last, 1);
     }
 
     #[test]

@@ -6,7 +6,21 @@ use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta1, SigmaDelta2};
 use tonos_analog::mux::AnalogMux;
 use tonos_analog::nonideal::NonIdealities;
 use tonos_analog::power::PowerModel;
+use tonos_dsp::bits::PackedBits;
 use tonos_mems::units::{Farads, Volts};
+
+/// Converts a block through the modulator's block lane.
+fn block(dsm: &mut impl DeltaSigmaModulator, input: &[f64]) -> PackedBits {
+    let mut bits = PackedBits::with_capacity(input.len());
+    dsm.step_block(input, &mut bits);
+    bits
+}
+
+/// Mean of the ±1 stream after its first `skip` bits.
+fn tail_mean(bits: &PackedBits, skip: usize) -> f64 {
+    let tail = bits.iter().skip(skip).map(|b| if b { 1.0 } else { -1.0 });
+    tail.sum::<f64>() / (bits.len() - skip) as f64
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -16,9 +30,7 @@ proptest! {
     #[test]
     fn second_order_tracks_any_dc(u in -0.8_f64..0.8) {
         let mut dsm = SigmaDelta2::new(NonIdealities::ideal()).unwrap();
-        let bits = dsm.process(&vec![u; 30_000]);
-        let mean: f64 =
-            bits[2000..].iter().map(|&b| f64::from(b)).sum::<f64>() / (bits.len() - 2000) as f64;
+        let mean = tail_mean(&block(&mut dsm, &vec![u; 30_000]), 2000);
         prop_assert!((mean - u).abs() < 0.02, "input {u}, mean {mean}");
     }
 
@@ -26,9 +38,7 @@ proptest! {
     #[test]
     fn first_order_tracks_any_dc(u in -0.8_f64..0.8) {
         let mut dsm = SigmaDelta1::new(NonIdealities::ideal()).unwrap();
-        let bits = dsm.process(&vec![u; 30_000]);
-        let mean: f64 =
-            bits[2000..].iter().map(|&b| f64::from(b)).sum::<f64>() / (bits.len() - 2000) as f64;
+        let mean = tail_mean(&block(&mut dsm, &vec![u; 30_000]), 2000);
         prop_assert!((mean - u).abs() < 0.02, "input {u}, mean {mean}");
     }
 
@@ -36,12 +46,9 @@ proptest! {
     #[test]
     fn modulator_is_deterministic(seed in any::<u64>()) {
         let stim: Vec<f64> = (0..512).map(|i| 0.4 * ((i as f64) * 0.1).sin()).collect();
-        let a = SigmaDelta2::new(NonIdealities::typical().with_seed(seed))
-            .unwrap()
-            .process(&stim);
-        let b = SigmaDelta2::new(NonIdealities::typical().with_seed(seed))
-            .unwrap()
-            .process(&stim);
+        let mk = || SigmaDelta2::new(NonIdealities::typical().with_seed(seed)).unwrap();
+        let a = block(&mut mk(), &stim);
+        let b = block(&mut mk(), &stim);
         prop_assert_eq!(a, b);
     }
 
@@ -113,10 +120,10 @@ proptest! {
     #[test]
     fn overload_detection_thresholds(u_hi in 1.3_f64..2.0, u_lo in 0.0_f64..0.5) {
         let mut hot = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-        let _ = hot.process(&vec![u_hi; 20_000]);
+        block(&mut hot, &vec![u_hi; 20_000]);
         prop_assert!(hot.overload_ratio() > 0.01, "no overload at {u_hi}");
         let mut cold = SigmaDelta2::new(NonIdealities::typical()).unwrap();
-        let _ = cold.process(&vec![u_lo; 20_000]);
+        block(&mut cold, &vec![u_lo; 20_000]);
         prop_assert!(cold.overload_ratio() < 1e-4, "false overload at {u_lo}");
     }
 }

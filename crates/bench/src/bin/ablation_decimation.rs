@@ -7,6 +7,7 @@
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
 use tonos_bench::{fmt, print_table};
+use tonos_dsp::bits::PackedBits;
 use tonos_dsp::cic::CicDecimatorF64;
 use tonos_dsp::decimator::{DecimatorConfig, OutputQuantizer};
 use tonos_dsp::fpga::FixedPointDecimator;
@@ -18,11 +19,23 @@ use tonos_dsp::window::Window;
 const N_OUT: usize = 2048;
 const FS: f64 = 128_000.0;
 
-fn stimulus_bits(n_out_plus_settle: usize) -> Result<Vec<f64>, Box<dyn std::error::Error>> {
+fn stimulus_bits(n_out_plus_settle: usize) -> Result<PackedBits, Box<dyn std::error::Error>> {
     let tone = Window::coherent_frequency(1000.0, N_OUT, 15.625);
     let stim = sine_wave(FS, tone, 0.5, 0.0, 128 * n_out_plus_settle);
     let mut dsm = SigmaDelta2::new(NonIdealities::typical())?;
-    Ok(dsm.process_to_f64(&stim))
+    let mut bits = PackedBits::with_capacity(stim.len());
+    dsm.step_block(&stim, &mut bits);
+    Ok(bits)
+}
+
+/// The bitstream through a two-stage chain built from `cfg`.
+fn two_stage(
+    cfg: DecimatorConfig,
+    bits: &PackedBits,
+) -> Result<Vec<f64>, Box<dyn std::error::Error>> {
+    let mut out = Vec::with_capacity(bits.len() / cfg.osr);
+    cfg.build()?.process_packed_into(bits, &mut out);
+    Ok(out)
 }
 
 fn snr_of_output(out: &[f64]) -> Result<f64, Box<dyn std::error::Error>> {
@@ -35,25 +48,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Architecture: SINC3 ÷128 alone vs SINC3 ÷32 + FIR ÷4 ---
     let bits = stimulus_bits(N_OUT + 64)?;
+    // The float-only SINC3 baselines and the FPGA model take the stream
+    // unpacked.
+    let floats = bits.to_f64_vec();
 
     // Single-stage SINC3 decimating by the full 128, then 12-bit output.
     let mut cic_only = CicDecimatorF64::new(3, 128)?;
     let q12 = OutputQuantizer::new(12)?;
     let out_cic: Vec<f64> = cic_only
-        .process(&bits)
+        .process(&floats)
         .into_iter()
         .map(|v| q12.round_trip(v))
         .collect();
     let snr_cic = snr_of_output(&out_cic)?;
 
     // The paper's two-stage chain.
-    let mut two_stage = DecimatorConfig::paper_default().build()?;
-    let out_two = two_stage.process(&bits);
-    let snr_two = snr_of_output(&out_two)?;
+    let snr_two = snr_of_output(&two_stage(DecimatorConfig::paper_default(), &bits)?)?;
 
     // The fully integer FPGA datapath (bit-exact hardware model).
     let mut fpga = FixedPointDecimator::paper_default();
-    let bits_i8: Vec<i8> = bits.iter().map(|&b| if b > 0.0 { 1 } else { -1 }).collect();
+    let bits_i8: Vec<i8> = bits.iter().map(|b| if b { 1 } else { -1 }).collect();
     let codes = fpga.process(&bits_i8);
     let out_fpga: Vec<f64> = codes.iter().map(|&c| fpga.dequantize(c)).collect();
     let snr_fpga = snr_of_output(&out_fpga)?;
@@ -61,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two-stage without the final FIR cleanup: SINC3 ÷32 then naive ÷4
     // (pick every 4th intermediate sample — aliases the 0.5..2 kHz band).
     let mut cic32 = CicDecimatorF64::new(3, 32)?;
-    let mid = cic32.process(&bits);
+    let mid = cic32.process(&floats);
     let out_naive: Vec<f64> = mid
         .iter()
         .skip(3)
@@ -94,12 +108,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             coefficient_bits: Some(coeff_bits),
             ..DecimatorConfig::paper_default()
         };
-        let mut dec = cfg.build()?;
-        let out = dec.process(&bits);
+        let out = two_stage(cfg, &bits)?;
         rows.push(vec![coeff_bits.to_string(), fmt(snr_of_output(&out)?, 1)]);
     }
-    let mut ideal = DecimatorConfig::paper_default().build()?;
-    let out = ideal.process(&bits);
+    let out = two_stage(DecimatorConfig::paper_default(), &bits)?;
     rows.push(vec!["f64 (reference)".into(), fmt(snr_of_output(&out)?, 1)]);
     print_table(
         "FIR coefficient word-length sweep (paper chain otherwise)",

@@ -7,6 +7,7 @@
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta1, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
 use tonos_bench::{fmt, print_table};
+use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::DecimatorConfig;
 use tonos_dsp::metrics::DynamicMetrics;
 use tonos_dsp::signal::sine_wave;
@@ -26,7 +27,10 @@ fn snr_of<M: DeltaSigmaModulator>(
     let settle = dec.settling_output_samples() + 8;
     let tone = Window::coherent_frequency(1000.0, n_out, 15.625);
     let stim = sine_wave(128_000.0, tone, 0.85, 0.0, 128 * (n_out + settle));
-    let out = dec.process(&dsm.process_to_f64(&stim));
+    let mut bits = PackedBits::with_capacity(stim.len());
+    dsm.step_block(&stim, &mut bits);
+    let mut out = Vec::with_capacity(n_out + settle);
+    dec.process_packed_into(&bits, &mut out);
     let spec = Spectrum::from_signal(&out[out.len() - n_out..], 1000.0, Window::Hann)?;
     Ok(DynamicMetrics::from_spectrum(&spec)?.snr_db)
 }

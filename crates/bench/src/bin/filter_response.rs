@@ -68,7 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
         let n = 128 * 4096;
         let tone = sine_wave(fs_in, hz, 0.5, 0.0, n);
-        let out = dec.process(&tone);
+        let mut out = Vec::with_capacity(n / 128);
+        dec.process_into(&tone, &mut out);
         let settled = &out[dec.settling_output_samples()..];
         let rms = (settled.iter().map(|v| v * v).sum::<f64>() / settled.len() as f64).sqrt();
         // The decimated tone aliases when hz > 500; measure amplitude

@@ -15,6 +15,7 @@
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
 use tonos_bench::{fmt, print_table};
+use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::DecimatorConfig;
 use tonos_dsp::welch::WelchPsd;
 
@@ -32,8 +33,10 @@ fn idle_floor(
     .build()?;
     let n_out = 16_384;
     let settle = dec.settling_output_samples() + 8;
-    let bits = dsm.process_to_f64(&vec![dc; 128 * (n_out + settle)]);
-    let out = dec.process(&bits);
+    let mut bits = PackedBits::with_capacity(128 * (n_out + settle));
+    dsm.step_block(&vec![dc; 128 * (n_out + settle)], &mut bits);
+    let mut out = Vec::with_capacity(n_out + settle);
+    dec.process_packed_into(&bits, &mut out);
     let tail: Vec<f64> = out[out.len() - n_out..]
         .iter()
         .map(|v| v - dc) // remove the DC so the PSD shows only the error

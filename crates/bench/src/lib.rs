@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
+use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::{DecimatorConfig, TwoStageDecimator};
 use tonos_dsp::metrics::DynamicMetrics;
 use tonos_dsp::signal::sine_wave;
@@ -70,8 +71,10 @@ pub fn characterize_adc(
     let settle = dec.settling_output_samples() + 8;
     let n_in = decimator.osr * (n_out + settle);
     let stimulus = sine_wave(fs, tone, amplitude, 0.0, n_in);
-    let bits = dsm.process_to_f64(&stimulus);
-    let out = dec.process(&bits);
+    let mut bits = PackedBits::with_capacity(n_in);
+    dsm.step_block(&stimulus, &mut bits);
+    let mut out = Vec::with_capacity(n_in / decimator.osr);
+    dec.process_packed_into(&bits, &mut out);
     let tail = &out[out.len() - n_out..];
     let spectrum = Spectrum::from_signal(tail, out_rate, Window::Hann)?;
     let metrics = DynamicMetrics::from_spectrum(&spectrum)?;
@@ -113,9 +116,10 @@ pub fn snr_at(
 /// [`tonos_analog::characterize::DcTransfer::measure`]: one DC point's
 /// bitstream through a fresh paper chain, averaged over the outputs
 /// after the chain has settled.
-pub fn settled_dc(bits: &[f64]) -> f64 {
+pub fn settled_dc(bits: &PackedBits) -> f64 {
     let mut dec = TwoStageDecimator::paper_default();
-    let out = dec.process(bits);
+    let mut out = Vec::with_capacity(bits.len() / dec.ratio());
+    dec.process_packed_into(bits, &mut out);
     let settled = &out[dec.settling_output_samples() + 4..];
     settled.iter().sum::<f64>() / settled.len() as f64
 }

@@ -246,39 +246,6 @@ impl EnsembleBeat {
         })
     }
 
-    /// Mean normalized level over a phase band `[lo, hi)` of the grid.
-    pub fn band_level(&self, lo: f64, hi: f64) -> f64 {
-        let n = self.shape.len();
-        let a = ((lo * n as f64) as usize).min(n - 1);
-        let b = ((hi * n as f64) as usize).clamp(a + 1, n);
-        self.shape[a..b].iter().sum::<f64>() / (b - a) as f64
-    }
-
-    /// Phase index of the systolic peak.
-    pub fn peak_phase(&self) -> f64 {
-        let (i, _) = self
-            .shape
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("non-empty shape");
-        i as f64 / self.shape.len() as f64
-    }
-
-    /// The reflected-wave shoulder: mean normalized level over the phase
-    /// band `[peak + lo, peak + hi)` (fractions of the period, wrapping).
-    /// Measuring *relative to the detected peak* removes the arbitrary
-    /// foot alignment, so the metric compares across sources. The
-    /// radial reflection sits ~0.12–0.25 of a period after the peak.
-    pub fn shoulder_after_peak(&self, lo: f64, hi: f64) -> f64 {
-        let n = self.shape.len();
-        let peak = (self.peak_phase() * n as f64) as usize;
-        let a = peak + (lo * n as f64) as usize;
-        let b = peak + ((hi * n as f64) as usize).max((lo * n as f64) as usize + 1);
-        let count = b - a;
-        (a..b).map(|i| self.shape[i % n]).sum::<f64>() / count as f64
-    }
-
     /// Half-height width of the systolic complex: the fraction of the
     /// period the normalized pulse stays at or above 0.5. The stiffer the
     /// arteries, the earlier and larger the reflected wave and the

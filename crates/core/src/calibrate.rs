@@ -80,11 +80,6 @@ impl Calibration {
         MillimetersHg(self.gain * raw + self.offset)
     }
 
-    /// Converts a raw segment to absolute pressure.
-    pub fn apply_all(&self, raw: &[f64]) -> Vec<MillimetersHg> {
-        raw.iter().map(|&r| self.apply(r)).collect()
-    }
-
     /// Inverts the calibration (mmHg → raw), for synthesis/testing.
     pub fn invert(&self, pressure: MillimetersHg) -> f64 {
         (pressure.value() - self.offset) / self.gain
@@ -185,15 +180,5 @@ mod tests {
         let bottom = cal.apply(0.2).value();
         assert!((top - 120.0).abs() < 3.0, "systolic mapped to {top}");
         assert!((bottom - 80.0).abs() < 3.0, "diastolic mapped to {bottom}");
-    }
-
-    #[test]
-    fn apply_all_matches_apply() {
-        let cal = Calibration::from_two_point(1.0, 0.0, &reading(120.0, 80.0)).unwrap();
-        let raw = [0.0, 0.5, 1.0];
-        let all = cal.apply_all(&raw);
-        for (r, c) in raw.iter().zip(&all) {
-            assert_eq!(cal.apply(*r), *c);
-        }
     }
 }

@@ -328,15 +328,22 @@ impl SensorChip {
 
     /// Converts a block through the auxiliary differential voltage input
     /// (electrical characterization, §3/§3.1), one input sample per
-    /// modulator clock, into `out` as ±1.0 bits (cleared, then filled).
-    pub fn convert_voltage_block_into(&mut self, inputs: &[Volts], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(inputs.len());
-        for &v in inputs {
-            out.push(f64::from(
-                self.modulator.step(self.voltage_input.input_fraction(v)),
-            ));
-        }
+    /// modulator clock, on the lane of
+    /// [`SensorChip::convert_frame_packed_into`]: the scratch is cleared,
+    /// `scratch.inputs` receives the modulator inputs, and the block
+    /// stepper packs the bitstream into `scratch.bits`.
+    pub fn convert_voltage_block_into(
+        &mut self,
+        inputs: &[Volts],
+        scratch: &mut ConversionScratch,
+    ) {
+        scratch.clear();
+        let vin = &self.voltage_input;
+        scratch
+            .inputs
+            .extend(inputs.iter().map(|&v| vin.input_fraction(v)));
+        self.modulator
+            .step_block(&scratch.inputs, &mut scratch.bits);
     }
 
     /// Resets the modulator loop state (integrators, comparator).
@@ -411,8 +418,9 @@ mod tests {
     #[test]
     fn voltage_input_bypasses_the_transducer() {
         let mut chip = chip();
-        let mut bits = Vec::new();
-        chip.convert_voltage_block_into(&vec![Volts(0.625); 40_000], &mut bits);
+        let mut scratch = ConversionScratch::new();
+        chip.convert_voltage_block_into(&vec![Volts(0.625); 40_000], &mut scratch);
+        let bits = scratch.bits.to_f64_vec();
         let mean = bits[2000..].iter().sum::<f64>() / (bits.len() - 2000) as f64;
         // 0.625 V / 2.5 V = 0.25 FS.
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");

@@ -21,7 +21,7 @@ pub enum SystemError {
     Physio(PhysioError),
     /// A system-level configuration or processing failure.
     Config(String),
-    /// An I/O failure (export writers, session records, the host link).
+    /// An I/O failure (session records, the host link).
     /// Carries the [`std::io::ErrorKind`] plus the rendered message —
     /// [`std::io::Error`] itself is neither `Clone` nor `PartialEq`.
     Io(std::io::ErrorKind, String),

@@ -1,11 +1,7 @@
-//! Export of sessions, beats, and spectra — CSV and binary records.
+//! Export of sessions as binary records.
 //!
 //! The paper's setup streamed the 12-bit samples over USB "to a computer
 //! system" — which means someone immediately needed the data in a file.
-//! The CSV writers produce plain text (RFC-4180-simple: no quoting
-//! needed for numeric data) against any [`std::io::Write`], so callers
-//! choose the destination (file, buffer, pipe) per C-RW-VALUE.
-//!
 //! [`write_session_record`] / [`read_session_record`] store the sample
 //! stream *binary and CRC-protected*, as a sequence of
 //! [`tonos_dsp::frame`] frames — the exact codec the live host link
@@ -16,67 +12,7 @@ use std::io::{Read, Write};
 
 use crate::monitor::MonitoringSession;
 use crate::SystemError;
-use tonos_dsp::spectrum::Spectrum;
 use tonos_mems::units::MillimetersHg;
-
-/// Writes a session's sample stream: `time_s,raw_fs,calibrated_mmhg`.
-///
-/// # Errors
-///
-/// Returns [`SystemError::Io`] wrapping any I/O failure.
-pub fn write_session_csv<W: Write>(
-    session: &MonitoringSession,
-    mut out: W,
-) -> Result<(), SystemError> {
-    writeln!(out, "time_s,raw_fs,calibrated_mmhg")?;
-    let t0 = session.acquisition_start as f64 / session.sample_rate;
-    for (i, (&raw, cal)) in session.raw.iter().zip(&session.calibrated).enumerate() {
-        writeln!(
-            out,
-            "{:.6},{:.9},{:.4}",
-            t0 + i as f64 / session.sample_rate,
-            raw,
-            cal.value()
-        )?;
-    }
-    Ok(())
-}
-
-/// Writes the detected beats: `time_s,systolic_mmhg,diastolic_mmhg`.
-///
-/// # Errors
-///
-/// Returns [`SystemError::Io`] wrapping any I/O failure.
-pub fn write_beats_csv<W: Write>(
-    session: &MonitoringSession,
-    mut out: W,
-) -> Result<(), SystemError> {
-    writeln!(out, "time_s,systolic_mmhg,diastolic_mmhg")?;
-    let t0 = session.acquisition_start as f64 / session.sample_rate;
-    for beat in &session.analysis.beats {
-        writeln!(
-            out,
-            "{:.4},{:.3},{:.3}",
-            t0 + beat.peak_index as f64 / session.sample_rate,
-            beat.systolic,
-            beat.diastolic
-        )?;
-    }
-    Ok(())
-}
-
-/// Writes a spectrum: `frequency_hz,level_dbfs`.
-///
-/// # Errors
-///
-/// Returns [`SystemError::Io`] wrapping any I/O failure.
-pub fn write_spectrum_csv<W: Write>(spectrum: &Spectrum, mut out: W) -> Result<(), SystemError> {
-    writeln!(out, "frequency_hz,level_dbfs")?;
-    for (i, db) in spectrum.to_dbfs().into_iter().enumerate() {
-        writeln!(out, "{:.4},{:.3}", spectrum.bin_frequency(i), db)?;
-    }
-    Ok(())
-}
 
 /// Samples per [`tonos_dsp::frame::KIND_SESSION_DATA`] frame in a binary
 /// session record (16 bytes per sample: raw + calibrated `f64`).
@@ -335,8 +271,6 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::monitor::BloodPressureMonitor;
-    use tonos_dsp::signal::sine_wave;
-    use tonos_dsp::window::Window;
     use tonos_physio::patient::PatientProfile;
 
     fn session() -> MonitoringSession {
@@ -351,59 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn session_csv_has_one_row_per_sample() {
-        let s = session();
-        let mut buf = Vec::new();
-        write_session_csv(&s, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("time_s,raw_fs,calibrated_mmhg"));
-        assert_eq!(text.lines().count(), s.raw.len() + 1);
-        // Rows parse back to numbers and times are monotone.
-        let mut last_t = f64::MIN;
-        for line in text.lines().skip(1).take(100) {
-            let cols: Vec<f64> = line.split(',').map(|c| c.parse().unwrap()).collect();
-            assert_eq!(cols.len(), 3);
-            assert!(cols[0] > last_t);
-            last_t = cols[0];
-            assert!((50.0..200.0).contains(&cols[2]), "calibrated {}", cols[2]);
-        }
-    }
-
-    #[test]
-    fn beats_csv_matches_the_analysis() {
-        let s = session();
-        let mut buf = Vec::new();
-        write_beats_csv(&s, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), s.analysis.beats.len() + 1);
-        for (line, beat) in text.lines().skip(1).zip(&s.analysis.beats) {
-            let cols: Vec<f64> = line.split(',').map(|c| c.parse().unwrap()).collect();
-            assert!((cols[1] - beat.systolic).abs() < 1e-3);
-            assert!((cols[2] - beat.diastolic).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn spectrum_csv_round_trips() {
-        let x = sine_wave(1000.0, 100.0, 0.5, 0.0, 1024);
-        let spec = Spectrum::from_signal(&x, 1000.0, Window::Hann).unwrap();
-        let mut buf = Vec::new();
-        write_spectrum_csv(&spec, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), spec.len() + 1);
-        // The tone's bin is the loudest row.
-        let mut best = (0.0, f64::MIN);
-        for line in text.lines().skip(1) {
-            let cols: Vec<f64> = line.split(',').map(|c| c.parse().unwrap()).collect();
-            if cols[1] > best.1 {
-                best = (cols[0], cols[1]);
-            }
-        }
-        assert!((best.0 - 100.0).abs() < 1.0, "peak at {} Hz", best.0);
-    }
-
-    #[test]
     fn io_errors_surface_as_typed_errors() {
         struct Broken;
         impl Write for Broken {
@@ -415,11 +296,9 @@ mod tests {
             }
         }
         let s = session();
-        let err = write_session_csv(&s, Broken).unwrap_err();
+        let err = write_session_record(&s, Broken).unwrap_err();
         assert!(matches!(err, SystemError::Io(std::io::ErrorKind::Other, _)));
         assert!(err.to_string().contains("disk full"));
-        let err = write_session_record(&s, Broken).unwrap_err();
-        assert!(matches!(err, SystemError::Io(_, _)));
     }
 
     #[test]

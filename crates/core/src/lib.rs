@@ -29,7 +29,7 @@
 //!   detection with pulse-rate tracking and clinical alarms
 //! * [`report`] — [`report::SessionReport`]: the clinician-facing session
 //!   summary
-//! * [`export`] — CSV writers for sessions, beats, and spectra
+//! * [`export`] — binary session records (the wire's frame codec)
 //! * [`vitals`] — derived vitals: respiratory rate from the waveform
 //!
 //! ## Example: the Fig. 9 pipeline in six lines

@@ -55,15 +55,6 @@ pub struct TemperatureProfile {
 }
 
 impl TemperatureProfile {
-    /// Bench-to-body warm-up: 25 °C → 35 °C over 60 s.
-    pub fn skin_warmup() -> Self {
-        TemperatureProfile {
-            start_c: 25.0,
-            end_c: 35.0,
-            ramp_s: 60.0,
-        }
-    }
-
     /// Die temperature at time `t` seconds into the session.
     pub fn temp_at(&self, t: f64) -> f64 {
         if self.ramp_s <= 0.0 || t >= self.ramp_s {

@@ -328,13 +328,12 @@ impl ReadoutSystem {
     /// voltage sequence at the modulator rate through the auxiliary input
     /// and the decimation filter. Returns the decimated output.
     pub fn acquire_voltage(&mut self, inputs: &[Volts]) -> Vec<f64> {
-        // Reuse the frame scratch: the ±1 stream lands in `inputs` (an
-        // f64 buffer of the right shape), the decimated output in `out`.
-        self.scratch.clear();
+        // The frame lane on the frame scratch: packed bits in `bits`,
+        // the decimated output in `out`.
         self.chip
-            .convert_voltage_block_into(inputs, &mut self.scratch.inputs);
+            .convert_voltage_block_into(inputs, &mut self.scratch);
         self.decimator
-            .process_into(&self.scratch.inputs, &mut self.scratch.out);
+            .process_packed_into(&self.scratch.bits, &mut self.scratch.out);
         let out = self.scratch.out.clone();
         if self.telemetry.enabled() {
             self.flush_native();

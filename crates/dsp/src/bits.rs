@@ -10,8 +10,8 @@
 //! The packed representation is **bit-exact** against the `f64` path: a
 //! `+1` bit enters the integer CIC as `+2^20` and a `−1` bit as `−2^20`,
 //! which is precisely the value `(±1.0 * 2^20).round()` produces (see
-//! [`crate::decimator::TwoStageDecimator::push_bit`]). The equivalence is
-//! property-tested in `tests/props.rs`.
+//! [`crate::decimator::TwoStageDecimator::process_packed_into`]). The
+//! equivalence is property-tested in `tests/props.rs`.
 //!
 //! ```
 //! use tonos_dsp::bits::PackedBits;
@@ -19,7 +19,7 @@
 //! let bits: PackedBits = [true, false, true, true].into_iter().collect();
 //! assert_eq!(bits.len(), 4);
 //! assert_eq!(bits.ones(), 3);
-//! assert_eq!(bits.to_f64_vec(), vec![1.0, -1.0, 1.0, 1.0]);
+//! assert_eq!(bits.mean(), 0.5);
 //! ```
 
 /// A densely packed single-bit (±1) stream.
@@ -75,12 +75,6 @@ impl PackedBits {
         self.len += 1;
     }
 
-    /// Appends a modulator output bit given in its ±1 `i8` encoding
-    /// (any positive value maps to `+1`).
-    pub fn push_i8(&mut self, bit: i8) {
-        self.push(bit > 0);
-    }
-
     /// Appends the low `len` bits of `word` (LSB-first) in one call —
     /// the block writers' fast path (one word splice instead of up to 64
     /// per-bit pushes). Bits of `word` at or above `len` are ignored.
@@ -108,16 +102,6 @@ impl PackedBits {
             }
         }
         self.len += len;
-    }
-
-    /// Packs a ±1 `i8` bitstream (the modulator's `process` output
-    /// format: any positive value is `+1`, the rest `−1`).
-    pub fn from_bitstream(bits: &[i8]) -> Self {
-        let mut packed = PackedBits::with_capacity(bits.len());
-        for &b in bits {
-            packed.push_i8(b);
-        }
-        packed
     }
 
     /// The bit at `index`, or `None` past the end.
@@ -148,8 +132,8 @@ impl PackedBits {
         (2.0 * self.ones() as f64 - self.len as f64) / self.len as f64
     }
 
-    /// Expands to the ±1.0 `f64` representation the legacy decimator
-    /// entry points consume.
+    /// Expands to ±1.0 floats, the input of the float-only reference
+    /// filters (`CicDecimatorF64`, the ablations' lossy baseline).
     pub fn to_f64_vec(&self) -> Vec<f64> {
         self.iter().map(|b| if b { 1.0 } else { -1.0 }).collect()
     }
@@ -297,13 +281,12 @@ mod tests {
 
     #[test]
     fn bitstream_conversion_matches_signs() {
-        let bits: Vec<i8> = vec![1, -1, -1, 1, 1, 1, -1];
-        let packed = PackedBits::from_bitstream(&bits);
+        let bits = [true, false, false, true, true, true, false];
+        let packed: PackedBits = bits.into_iter().collect();
         assert_eq!(packed.len(), 7);
         assert_eq!(packed.ones(), 4);
-        let back: Vec<f64> = packed.to_f64_vec();
-        let expected: Vec<f64> = bits.iter().map(|&b| f64::from(b)).collect();
-        assert_eq!(back, expected);
+        let expected: Vec<f64> = bits.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+        assert_eq!(packed.to_f64_vec(), expected);
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl CicDecimator {
         (self.ratio as i64).pow(self.order as u32)
     }
 
-    /// Register width (bits) required for unconditional correctness with a
-    /// `input_bits`-wide input: `input_bits + N·log2(R)` (Hogenauer).
-    pub fn required_bits(&self, input_bits: u32) -> u32 {
-        input_bits + (self.order as f64 * (self.ratio as f64).log2()).ceil() as u32
-    }
-
     /// Pushes one high-rate sample; returns a decimated output every
     /// `ratio`-th call.
     pub fn push(&mut self, x: i64) -> Option<i64> {
@@ -418,8 +412,6 @@ mod tests {
         assert_eq!(cic.order(), 3);
         assert_eq!(cic.ratio(), 32);
         assert_eq!(cic.gain(), 32_768);
-        // Hogenauer width for a 1-bit input: 1 + 3*5 = 16 bits.
-        assert_eq!(cic.required_bits(1), 16);
     }
 
     #[test]

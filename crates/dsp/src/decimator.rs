@@ -238,22 +238,6 @@ impl TwoStageDecimator {
     /// returns a decimated output sample every `ratio()`-th call.
     pub fn push(&mut self, x: f64) -> Option<f64> {
         let xi = (x * (1_i64 << CIC_INPUT_FRAC_BITS) as f64).round() as i64;
-        self.push_fixed(xi)
-    }
-
-    /// Pushes one single-bit modulator sample directly, skipping the
-    /// float scale-and-round of [`TwoStageDecimator::push`].
-    ///
-    /// Bit-exact against the `f64` path: a `true` bit enters the integer
-    /// CIC as `+2^20`, exactly the value `(1.0 * 2^20).round()` yields
-    /// (and symmetrically for `false`). The equivalence is property-
-    /// tested in `tests/props.rs`.
-    pub fn push_bit(&mut self, bit: bool) -> Option<f64> {
-        self.push_fixed(if bit { BIT_ONE } else { -BIT_ONE })
-    }
-
-    /// Shared fixed-point entry: `xi` is the Q-format CIC input word.
-    fn push_fixed(&mut self, xi: i64) -> Option<f64> {
         self.samples_in += 1;
         let mid = self.cic.push(xi)? as f64 / self.cic_norm;
         let out = self.fir.push(mid)?;
@@ -269,42 +253,23 @@ impl TwoStageDecimator {
         })
     }
 
-    /// Processes a block of modulator-rate samples.
-    pub fn process(&mut self, xs: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len() / self.ratio() + 1);
-        self.process_into(xs, &mut out);
-        out
-    }
-
-    /// [`TwoStageDecimator::process`] appending into a caller-owned
-    /// buffer — the allocation-free variant.
+    /// Processes a block of modulator-rate samples, appending the
+    /// decimated outputs to caller-owned `out` (not cleared first).
     pub fn process_into(&mut self, xs: &[f64], out: &mut Vec<f64>) {
         out.extend(xs.iter().filter_map(|&x| self.push(x)));
     }
 
-    /// Processes a single-bit stream given as `true`(+1) / `false`(−1).
-    pub fn process_bits(&mut self, bits: &[bool]) -> Vec<f64> {
-        bits.iter().filter_map(|&b| self.push_bit(b)).collect()
-    }
-
-    /// Processes a packed single-bit stream ([`PackedBits`]), the
-    /// modulator's native output format. One `u64` word carries 64
-    /// modulator clocks; no intermediate `f64` expansion is made.
-    pub fn process_packed(&mut self, bits: &PackedBits) -> Vec<f64> {
-        let mut out = Vec::with_capacity(bits.len() / self.ratio() + 1);
-        self.process_packed_into(bits, &mut out);
-        out
-    }
-
-    /// Packed-stream entry point writing into caller-owned scratch — the
-    /// zero-allocation hot path. Decimated outputs are appended to `out`
-    /// (not cleared first, so callers can accumulate).
+    /// Processes a packed single-bit stream ([`PackedBits`], the
+    /// modulator's native output) — the bitstream entry, and
+    /// allocation-free. Decimated outputs are appended to `out` (not
+    /// cleared first, so callers can accumulate).
     ///
     /// The first stage runs word-parallel through
     /// [`CicDecimator::push_word`]: 64 modulator clocks per kernel call
-    /// instead of one, with bit-identical results to the scalar
-    /// [`TwoStageDecimator::push_bit`] loop (and therefore to the `f64`
-    /// path — both equivalences are property-tested in `tests/props.rs`).
+    /// instead of one. A `+1` bit enters the integer CIC as `+2^20`,
+    /// exactly the word [`TwoStageDecimator::push`] makes of `1.0`, so
+    /// the output is bit-identical to pushing the ±1.0 stream one sample
+    /// at a time (property-tested in `tests/props.rs`).
     pub fn process_packed_into(&mut self, bits: &PackedBits, out: &mut Vec<f64>) {
         self.samples_in += bits.len() as u64;
         // Split borrows: the emit closure drives the FIR, quantizer, and
@@ -391,6 +356,13 @@ mod tests {
     use super::*;
     use crate::signal::sine_wave;
 
+    /// A float block through `process_into`.
+    fn decimate(d: &mut TwoStageDecimator, xs: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        d.process_into(xs, &mut out);
+        out
+    }
+
     #[test]
     fn paper_chain_has_ratio_128_and_1ksps_output() {
         let cfg = DecimatorConfig::paper_default();
@@ -408,7 +380,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let out = d.process(&vec![0.25; 128 * 64]);
+        let out = decimate(&mut d, &vec![0.25; 128 * 64]);
         let last = *out.last().unwrap();
         assert!((last - 0.25).abs() < 1e-9, "settled to {last}");
     }
@@ -425,7 +397,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let out = d.process(&x);
+        let out = decimate(&mut d, &x);
         let settled = &out[d.settling_output_samples()..];
         let rms = (settled.iter().map(|v| v * v).sum::<f64>() / settled.len() as f64).sqrt();
         let expected = 0.5 / 2.0_f64.sqrt();
@@ -443,7 +415,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        let out = d.process(&x);
+        let out = decimate(&mut d, &x);
         let settled = &out[d.settling_output_samples()..];
         let rms = (settled.iter().map(|v| v * v).sum::<f64>() / settled.len() as f64).sqrt();
         assert!(rms < 0.01, "out-of-band rms {rms}");
@@ -493,15 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn bitstream_and_float_entry_points_agree() {
-        let bits: Vec<bool> = (0..128 * 8).map(|i| i % 3 == 0).collect();
-        let floats: Vec<f64> = bits.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
-        let mut d1 = TwoStageDecimator::paper_default();
-        let mut d2 = TwoStageDecimator::paper_default();
-        assert_eq!(d1.process_bits(&bits), d2.process(&floats));
-    }
-
-    #[test]
     fn packed_entry_point_is_bit_identical() {
         // The packed path must match the f64 path sample for sample —
         // not approximately: the decimator output is a deterministic
@@ -511,8 +474,9 @@ mod tests {
         let floats: Vec<f64> = bools.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
         let mut d1 = TwoStageDecimator::paper_default();
         let mut d2 = TwoStageDecimator::paper_default();
-        let via_packed = d1.process_packed(&packed);
-        let via_floats = d2.process(&floats);
+        let mut via_packed = Vec::new();
+        d1.process_packed_into(&packed, &mut via_packed);
+        let via_floats = decimate(&mut d2, &floats);
         assert_eq!(via_packed, via_floats);
         // Same throughput accounting on both paths.
         assert_eq!(d1.samples_in(), d2.samples_in());
@@ -525,9 +489,9 @@ mod tests {
         // once the advertised settling time has elapsed.
         let mut d = TwoStageDecimator::paper_default();
         // Drive -0.5 until fully settled.
-        let _ = d.process(&vec![-0.5; 128 * 100]);
+        let _ = decimate(&mut d, &vec![-0.5; 128 * 100]);
         // Step to +0.5 and observe.
-        let out = d.process(&vec![0.5; 128 * 100]);
+        let out = decimate(&mut d, &vec![0.5; 128 * 100]);
         let k = d.settling_output_samples();
         let lsb = d.quantizer().unwrap().lsb();
         for (i, &v) in out.iter().enumerate().skip(k) {
@@ -552,7 +516,7 @@ mod tests {
             ..DecimatorConfig::paper_default()
         };
         let mut d = cfg.build().unwrap();
-        let out = d.process(&vec![0.3; 128 * 64]);
+        let out = decimate(&mut d, &vec![0.3; 128 * 64]);
         // Tolerance: the Q20 CIC input quantization bounds DC error at
         // 2^-21 ≈ 4.8e-7.
         assert!((out.last().unwrap() - 0.3).abs() < 1e-6);
@@ -570,7 +534,7 @@ mod tests {
         let mut worst = 0.0_f64;
         let chunk = vec![bias; 128 * 1000];
         for block in 0..60 {
-            let out = d.process(&chunk);
+            let out = decimate(&mut d, &chunk);
             if block > 0 {
                 for &v in &out {
                     worst = worst.max((v - bias).abs());
@@ -588,14 +552,14 @@ mod tests {
     fn throughput_counters_track_the_stream() {
         let mut d = TwoStageDecimator::paper_default();
         assert_eq!((d.samples_in(), d.samples_out(), d.flushes()), (0, 0, 0));
-        let out = d.process(&vec![0.1; 128 * 5]);
+        let out = decimate(&mut d, &vec![0.1; 128 * 5]);
         assert_eq!(out.len(), 5);
         assert_eq!(d.samples_in(), 128 * 5);
         assert_eq!(d.samples_out(), 5);
         d.reset();
         assert_eq!(d.flushes(), 1);
         // Counters describe the lifetime, not one segment.
-        let _ = d.process(&vec![0.1; 128]);
+        let _ = decimate(&mut d, &vec![0.1; 128]);
         assert_eq!(d.samples_in(), 128 * 6);
         assert_eq!(d.samples_out(), 6);
     }
@@ -605,11 +569,11 @@ mod tests {
         // A DC input beyond +1.0 full scale must pin the 12-bit output at
         // the top code and count clips once the chain has settled.
         let mut d = TwoStageDecimator::paper_default();
-        let _ = d.process(&vec![1.5; 128 * 100]);
+        let _ = decimate(&mut d, &vec![1.5; 128 * 100]);
         assert!(d.clip_events() > 0, "expected saturations, got none");
         // An in-range signal adds no further clips.
         let mut clean = TwoStageDecimator::paper_default();
-        let _ = clean.process(&vec![0.25; 128 * 100]);
+        let _ = decimate(&mut clean, &vec![0.25; 128 * 100]);
         assert_eq!(clean.clip_events(), 0);
         // The quantizer predicate itself.
         let q = OutputQuantizer::new(12).unwrap();
@@ -629,7 +593,7 @@ mod tests {
             };
             let mut d = cfg.build().unwrap();
             assert_eq!(d.ratio(), osr);
-            let out = d.process(&vec![1.0; osr * 10]);
+            let out = decimate(&mut d, &vec![1.0; osr * 10]);
             assert_eq!(out.len(), 10);
         }
     }

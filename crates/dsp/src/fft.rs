@@ -51,15 +51,6 @@ impl Complex {
     pub fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
 }
 
 impl std::ops::Add for Complex {
@@ -323,7 +314,6 @@ mod tests {
         let z = Complex::new(3.0, -4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!(z.conj(), Complex::new(3.0, 4.0));
         let w = Complex::from_angle(std::f64::consts::FRAC_PI_2);
         assert!((w.re).abs() < 1e-15 && (w.im - 1.0).abs() < 1e-15);
         assert_eq!(Complex::zero() + z, z);

@@ -133,23 +133,6 @@ impl Fixed {
         Fixed::from_f64(x, format)
     }
 
-    /// Builds a value from a raw integer (caller asserts it fits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] when `raw` is outside the
-    /// format range.
-    pub fn from_raw(raw: i64, format: QFormat) -> Result<Self, DspError> {
-        if raw < format.min_raw() || raw > format.max_raw() {
-            return Err(DspError::InvalidParameter(format!(
-                "raw {raw} outside format range [{}, {}]",
-                format.min_raw(),
-                format.max_raw()
-            )));
-        }
-        Ok(Fixed { raw, format })
-    }
-
     /// The raw two's-complement integer.
     pub fn raw(self) -> i64 {
         self.raw
@@ -286,14 +269,6 @@ mod tests {
         // Negative operand.
         let n = Fixed::from_f64(-0.5, f).saturating_mul(b);
         assert!((n.to_f64() + 0.125).abs() < f.lsb());
-    }
-
-    #[test]
-    fn from_raw_validates_range() {
-        let f = q15();
-        assert!(Fixed::from_raw(32767, f).is_ok());
-        assert!(Fixed::from_raw(32768, f).is_err());
-        assert!(Fixed::from_raw(-32769, f).is_err());
     }
 
     #[test]

@@ -15,17 +15,6 @@ pub fn sine_wave(fs: f64, f: f64, amplitude: f64, phase: f64, n: usize) -> Vec<f
         .collect()
 }
 
-/// Sums several `(frequency, amplitude, phase)` tones at rate `fs`.
-pub fn multi_tone(fs: f64, tones: &[(f64, f64, f64)], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    for &(f, a, p) in tones {
-        for (i, v) in out.iter_mut().enumerate() {
-            *v += a * (2.0 * std::f64::consts::PI * f * i as f64 / fs + p).sin();
-        }
-    }
-    out
-}
-
 /// Adds zero-mean uniform white noise of the given peak amplitude,
 /// deterministically from `seed`.
 pub fn add_white_noise(signal: &mut [f64], peak: f64, seed: u64) {
@@ -72,18 +61,6 @@ mod tests {
     fn phase_shifts_the_waveform() {
         let x = sine_wave(1000.0, 100.0, 1.0, std::f64::consts::FRAC_PI_2, 4);
         assert!((x[0] - 1.0).abs() < 1e-12, "sin(pi/2) = 1");
-    }
-
-    #[test]
-    fn multi_tone_is_superposition() {
-        let fs = 1000.0;
-        let n = 64;
-        let a = sine_wave(fs, 100.0, 0.5, 0.1, n);
-        let b = sine_wave(fs, 200.0, 0.25, 0.2, n);
-        let m = multi_tone(fs, &[(100.0, 0.5, 0.1), (200.0, 0.25, 0.2)], n);
-        for i in 0..n {
-            assert!((m[i] - a[i] - b[i]).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Spectrum {
         bin as f64 * self.sample_rate / self.fft_len as f64
     }
 
-    /// The bin nearest a frequency.
-    pub fn frequency_bin(&self, hz: f64) -> usize {
-        ((hz * self.fft_len as f64 / self.sample_rate).round() as usize).min(self.power.len() - 1)
-    }
-
     /// Per-bin level in dBFS (0 dBFS = full-scale sine), floored at
     /// -200 dBFS to keep plots finite.
     pub fn to_dbfs(&self) -> Vec<f64> {
@@ -191,7 +186,7 @@ mod tests {
         let x = sine_wave(fs, f, 0.8, 0.0, n);
         let s = Spectrum::from_signal(&x, fs, Window::Hann).unwrap();
         let peak = s.peak_bin().unwrap();
-        assert_eq!(peak, s.frequency_bin(f));
+        assert_eq!(peak, (f * n as f64 / fs).round() as usize);
         assert!((s.bin_frequency(peak) - f).abs() < fs / n as f64 / 2.0);
     }
 
@@ -206,7 +201,8 @@ mod tests {
         }
         let s = Spectrum::from_signal(&x, fs, Window::Hann).unwrap();
         let peak = s.peak_bin().unwrap();
-        assert_eq!(peak, s.frequency_bin(f), "peak must skip DC leakage");
+        let tone_bin = (f * n as f64 / fs).round() as usize;
+        assert_eq!(peak, tone_bin, "peak must skip DC leakage");
     }
 
     #[test]

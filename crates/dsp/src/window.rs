@@ -65,17 +65,6 @@ impl Window {
         Ok(coeffs)
     }
 
-    /// Coherent (amplitude) gain: the mean of the window coefficients.
-    /// Dividing a windowed spectrum by this restores tone amplitudes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] when `n == 0`.
-    pub fn coherent_gain(self, n: usize) -> Result<f64, DspError> {
-        let c = self.coefficients(n)?;
-        Ok(c.iter().sum::<f64>() / n as f64)
-    }
-
     /// Number of adjacent bins on each side of a tone that carry
     /// significant window leakage and must be attributed to the tone when
     /// integrating signal power.
@@ -148,17 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn hann_coherent_gain_is_half() {
-        let g = Window::Hann.coherent_gain(4096).unwrap();
-        assert!((g - 0.5).abs() < 1e-3, "Hann gain {g}");
-    }
-
-    #[test]
-    fn rectangular_gain_is_one() {
-        assert_eq!(Window::Rectangular.coherent_gain(64).unwrap(), 1.0);
-    }
-
-    #[test]
     fn hamming_endpoints_are_eight_percent() {
         let c = Window::Hamming.coefficients(100).unwrap();
         assert!((c[0] - 0.08).abs() < 1e-12, "got {}", c[0]);
@@ -173,7 +151,6 @@ mod tests {
     #[test]
     fn zero_length_is_rejected() {
         assert!(Window::Hann.coefficients(0).is_err());
-        assert!(Window::Hann.coherent_gain(0).is_err());
     }
 
     #[test]

@@ -138,7 +138,8 @@ proptest! {
         }
         .build()
         .unwrap();
-        let out = d.process(&vec![level; 128 * 40]);
+        let mut out = Vec::new();
+        d.process_into(&vec![level; 128 * 40], &mut out);
         let last = *out.last().unwrap();
         prop_assert!((last - level).abs() < 1e-6, "settled to {last} for {level}");
     }
@@ -209,7 +210,7 @@ proptest! {
         n_frames in 0_usize..4,
         tail in 0_usize..128,
         order in 1_usize..5,
-        ratio in 2_usize..65,
+        ratio in 2_usize..=128,
         scale_sel in 0_usize..3,
         seed in 0_u64..u64::MAX,
     ) {
@@ -240,28 +241,35 @@ proptest! {
 
     /// Packed-bit decimation is **bit-identical** to the ±1.0 `f64`
     /// path through the full two-stage chain — the property that lets
-    /// the readout hot path switch representations with zero behavioral
-    /// change. Checked across OSR variants and with/without the output
-    /// quantizer.
+    /// every bitstream caller run the packed lane with zero behavioral
+    /// change. Checked across every OSR the experiments run (up to 512,
+    /// where one CIC period spans two 64-bit words), both cutoffs they
+    /// use, float and 4–16-bit FIR coefficients, and with/without the
+    /// output quantizer.
     #[test]
     fn packed_decimation_is_bit_identical_to_f64(
-        bools in prop::collection::vec(prop::bool::ANY, 0..2048),
-        osr_sel in 0_usize..3,
+        bools in prop::collection::vec(prop::bool::ANY, 0..16_384),
+        osr_sel in 0_usize..6,
+        cutoff_sel in 0_usize..2,
+        quantized_taps in prop::bool::ANY,
+        tap_bits in 4_u32..=16,
         quantized in prop::bool::ANY,
     ) {
-        let osr = [8, 32, 128][osr_sel];
+        let osr = [8, 32, 64, 128, 256, 512][osr_sel];
         let cfg = DecimatorConfig {
             osr,
-            cutoff_hz: (128_000.0 / osr as f64) / 2.2,
+            cutoff_hz: (128_000.0 / osr as f64) / [2.0, 2.2][cutoff_sel],
             output_bits: if quantized { Some(12) } else { None },
+            coefficient_bits: quantized_taps.then_some(tap_bits),
             ..DecimatorConfig::paper_default()
         };
         let mut d_packed = cfg.build().unwrap();
         let mut d_float = cfg.build().unwrap();
         let packed: PackedBits = bools.iter().copied().collect();
         let floats: Vec<f64> = bools.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
-        let a = d_packed.process_packed(&packed);
-        let b = d_float.process(&floats);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        d_packed.process_packed_into(&packed, &mut a);
+        d_float.process_into(&floats, &mut b);
         // assert_eq on f64: identical bits, not approximately equal.
         prop_assert_eq!(a, b);
         prop_assert_eq!(d_packed.samples_in(), d_float.samples_in());

@@ -49,13 +49,6 @@ impl SessionSpec {
         }
     }
 
-    /// Replaces the system configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets the monitoring duration in seconds.
     #[must_use]
     pub fn with_duration(mut self, duration_s: f64) -> Self {

@@ -810,7 +810,7 @@ mod tests {
         let mut direct = DecimatorConfig::paper_default().build().unwrap();
         let mut expect = Vec::new();
         for c in &chunks {
-            expect.extend(direct.process_packed(c));
+            direct.process_packed_into(c, &mut expect);
         }
         assert_eq!(got.len(), expect.len());
         for (s, e) in got.iter().zip(&expect) {

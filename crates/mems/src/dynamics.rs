@@ -123,11 +123,6 @@ impl MembraneDynamics {
     pub fn modal_mass(&self) -> f64 {
         self.modal_mass
     }
-
-    /// Squeeze-film damping coefficient in N·s/m.
-    pub fn damping_coefficient(&self) -> f64 {
-        self.damping
-    }
 }
 
 impl Default for MembraneDynamics {
@@ -176,7 +171,7 @@ mod tests {
         let plate = SquarePlate::paper_default();
         let tight = MembraneDynamics::new(&plate, Meters::from_microns(0.5)).unwrap();
         let loose = MembraneDynamics::new(&plate, Meters::from_microns(1.0)).unwrap();
-        let ratio = tight.damping_coefficient() / loose.damping_coefficient();
+        let ratio = tight.damping / loose.damping;
         assert!((ratio - 8.0).abs() < 1e-9, "c ~ 1/g^3, got ratio {ratio}");
         // Tighter gap, more damping, lower Q.
         assert!(tight.quality_factor() < loose.quality_factor());
@@ -203,7 +198,7 @@ mod tests {
         let d = MembraneDynamics::paper_default();
         assert!(d.modal_mass() > 0.0);
         assert!(d.modal_stiffness() > 0.0);
-        assert!(d.damping_coefficient() > 0.0);
+        assert!(d.damping > 0.0);
         // Modal mass should be a fraction of the total membrane mass.
         let plate = SquarePlate::paper_default();
         let total_mass =

@@ -1,4 +1,4 @@
-//! A single force-sensitive element: membrane capacitor plus force scaling.
+//! A single force-sensitive element: the membrane capacitor of one cell.
 //!
 //! The paper calls each array cell a "square-shaped force-sensitive
 //! element". Tissue contact exerts a *force* on the protruding membrane;
@@ -6,7 +6,7 @@
 
 use crate::capacitor::{ElectrodeGeometry, MembraneCapacitor};
 use crate::plate::SquarePlate;
-use crate::units::{Farads, Newtons, Pascals};
+use crate::units::{Farads, Pascals};
 use crate::MemsError;
 
 /// One force-sensitive membrane element of the tactile array.
@@ -54,12 +54,6 @@ impl ForceSensorElement {
         }
     }
 
-    /// Membrane area in m² (force-to-pressure conversion denominator).
-    pub fn membrane_area(&self) -> f64 {
-        let a = self.capacitor.plate().side().value();
-        a * a
-    }
-
     /// Element capacitance under a net pressure load.
     ///
     /// # Errors
@@ -67,17 +61,6 @@ impl ForceSensorElement {
     /// Propagates collapse/solver errors from the capacitor model.
     pub fn capacitance(&self, pressure: Pascals) -> Result<Farads, MemsError> {
         self.capacitor.capacitance(pressure)
-    }
-
-    /// Element capacitance under a concentrated normal force, treated as
-    /// an equivalent uniform pressure `F / A_membrane`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collapse/solver errors from the capacitor model.
-    pub fn capacitance_for_force(&self, force: Newtons) -> Result<Farads, MemsError> {
-        let p = Pascals(force.value() / self.membrane_area());
-        self.capacitance(p)
     }
 
     /// Capacitance at rest.
@@ -98,32 +81,15 @@ impl ForceSensorElement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{Meters, MillimetersHg};
-
-    #[test]
-    fn force_and_pressure_paths_agree() {
-        let e = ForceSensorElement::paper_default();
-        let p = Pascals::from_mmhg(MillimetersHg(80.0));
-        let f = Newtons(p.value() * e.membrane_area());
-        let via_p = e.capacitance(p).unwrap();
-        let via_f = e.capacitance_for_force(f).unwrap();
-        assert!((via_p.value() - via_f.value()).abs() < 1e-24);
-    }
-
-    #[test]
-    fn membrane_area_matches_paper_geometry() {
-        let e = ForceSensorElement::paper_default();
-        let a = e.membrane_area();
-        assert!((a - 100e-6 * 100e-6).abs() < 1e-15);
-    }
+    use crate::units::Meters;
 
     #[test]
     fn micro_newton_forces_are_resolvable() {
         // The tactile application works at micronewton-scale contact
-        // forces: 1 µN over the membrane = 100 Pa ≈ 0.75 mmHg.
+        // forces: 1 µN over the 100 µm membrane = 100 Pa ≈ 0.75 mmHg.
         let e = ForceSensorElement::paper_default();
         let rest = e.rest_capacitance();
-        let c = e.capacitance_for_force(Newtons(1e-6)).unwrap();
+        let c = e.capacitance(Pascals(100.0)).unwrap();
         assert!(c > rest);
     }
 

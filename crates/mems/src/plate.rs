@@ -118,18 +118,6 @@ impl SquarePlate {
         self.k_linear
     }
 
-    /// Cubic stretching stiffness, in Pa/m³.
-    pub fn cubic_stiffness(&self) -> f64 {
-        self.k_cubic
-    }
-
-    /// Small-signal compliance `dw0/dp` at zero deflection, in m/Pa.
-    /// This is the mechanical sensitivity the readout chain sees for the
-    /// millimeter-of-mercury–scale pressure pulses of the application.
-    pub fn linear_compliance(&self) -> f64 {
-        1.0 / self.k_linear
-    }
-
     /// Pressure required to hold a given center deflection (exact forward
     /// relation `p = k1·w0 + k3·w0³`). Positive deflection is *toward the
     /// bottom electrode* (pressure applied from the top).
@@ -224,14 +212,6 @@ impl SquarePlate {
     #[inline]
     pub fn deflection_at(&self, w0: Meters, x: f64, y: f64) -> Meters {
         Meters(w0.value() * self.mode_shape(x) * self.mode_shape(y))
-    }
-
-    /// Volume swept by the deflected membrane, `w0 · a²/4` (the separable
-    /// mode shape integrates to `a/2` per axis). Useful for squeeze-film
-    /// and backside-cavity reasoning.
-    pub fn swept_volume(&self, w0: Meters) -> f64 {
-        let a = self.side.value();
-        w0.value() * a * a / 4.0
     }
 }
 
@@ -349,27 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn swept_volume_matches_analytic_integral() {
-        let plate = paper_plate();
-        let w0 = Meters::from_microns(0.5);
-        // Numerical double integral of the mode shape.
-        let a = plate.side().value();
-        let n = 200;
-        let h = a / n as f64;
-        let mut vol = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                let x = -a / 2.0 + (i as f64 + 0.5) * h;
-                let y = -a / 2.0 + (j as f64 + 0.5) * h;
-                vol += plate.deflection_at(w0, x, y).value() * h * h;
-            }
-        }
-        let analytic = plate.swept_volume(w0);
-        let rel = (vol - analytic).abs() / analytic;
-        assert!(rel < 1e-3, "relative error {rel}");
-    }
-
-    #[test]
     fn tensile_stress_stiffens_the_plate() {
         let side = Meters::from_microns(100.0);
         let relaxed = Laminate::new(vec![Layer::new(
@@ -425,6 +384,6 @@ mod tests {
             SquarePlate::new(Meters::from_microns(80.0), Laminate::cmos_membrane()).unwrap();
         let large =
             SquarePlate::new(Meters::from_microns(140.0), Laminate::cmos_membrane()).unwrap();
-        assert!(large.linear_compliance() > small.linear_compliance());
+        assert!(large.linear_stiffness() < small.linear_stiffness());
     }
 }

@@ -125,18 +125,6 @@ impl ThermalModel {
         Ok(Farads(hot.value() - nominal.value()))
     }
 
-    /// Local capacitance temperature coefficient at a bias, in F/K
-    /// (finite difference over ±1 K).
-    ///
-    /// # Errors
-    ///
-    /// Propagates capacitance-evaluation failures.
-    pub fn capacitance_tempco(&self, temp_c: f64, bias: Pascals) -> Result<f64, MemsError> {
-        let hi = self.capacitor_at(temp_c + 1.0)?.capacitance(bias)?;
-        let lo = self.capacitor_at(temp_c - 1.0)?.capacitance(bias)?;
-        Ok((hi.value() - lo.value()) / 2.0)
-    }
-
     /// The input-referred pressure error a temperature change produces:
     /// the capacitance shift divided by the pressure sensitivity at the
     /// bias point. This is what a calibrated blood-pressure reading
@@ -233,19 +221,6 @@ mod tests {
         let cold = t.baseline_shift(10.0, bias()).unwrap();
         assert!(hot.value() > 0.0);
         assert!(cold.value() < 0.0);
-    }
-
-    #[test]
-    fn tempco_matches_shift_slope() {
-        let t = ThermalModel::paper_default();
-        let tc = t.capacitance_tempco(31.0, bias()).unwrap();
-        let shift = t.baseline_shift(37.0, bias()).unwrap().value()
-            - t.baseline_shift(25.0, bias()).unwrap().value();
-        let slope = shift / 12.0;
-        assert!(
-            (tc - slope).abs() < 0.25 * slope.abs(),
-            "tempco {tc:.3e} vs secant {slope:.3e}"
-        );
     }
 
     #[test]

@@ -146,11 +146,6 @@ quantity!(
     "V"
 );
 quantity!(
-    /// Force in newtons (SI).
-    Newtons,
-    "N"
-);
-quantity!(
     /// Mechanical stress in pascals (SI). Distinct from [`Pascals`]
     /// (an applied load) to keep residual film stress and external
     /// pressure from being confused.
@@ -203,18 +198,6 @@ impl Farads {
     pub fn to_femtofarads(self) -> f64 {
         self.0 * 1e15
     }
-
-    /// Constructs a capacitance from picofarads.
-    #[inline]
-    pub fn from_picofarads(pf: f64) -> Self {
-        Farads(pf * 1e-12)
-    }
-
-    /// Returns the capacitance expressed in picofarads.
-    #[inline]
-    pub fn to_picofarads(self) -> f64 {
-        self.0 * 1e12
-    }
 }
 
 impl Pascals {
@@ -228,12 +211,6 @@ impl Pascals {
     #[inline]
     pub fn to_mmhg(self) -> MillimetersHg {
         MillimetersHg(self.0 / PASCALS_PER_MMHG)
-    }
-
-    /// Constructs a pressure from kilopascals.
-    #[inline]
-    pub fn from_kilopascals(kpa: f64) -> Self {
-        Pascals(kpa * 1e3)
     }
 }
 
@@ -289,9 +266,6 @@ mod tests {
     fn femtofarad_conversions() {
         let c = Farads::from_femtofarads(47.0);
         assert!((c.to_femtofarads() - 47.0).abs() < 1e-9);
-        assert!((c.to_picofarads() - 0.047).abs() < 1e-12);
-        let c2 = Farads::from_picofarads(1.5);
-        assert!((c2.to_femtofarads() - 1500.0).abs() < 1e-9);
     }
 
     #[test]

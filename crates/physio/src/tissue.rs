@@ -111,21 +111,6 @@ impl TissueModel {
         self
     }
 
-    /// Returns a copy with a different vessel depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysioError::InvalidParameter`] for a non-positive depth.
-    pub fn with_depth(self, depth: Meters) -> Result<Self, PhysioError> {
-        TissueModel::new(
-            depth,
-            self.vessel_x,
-            self.surface_coupling,
-            self.coupling_depth,
-            self.min_width,
-        )
-    }
-
     /// Vessel depth.
     pub fn depth(&self) -> Meters {
         self.depth
@@ -209,7 +194,8 @@ mod tests {
     #[test]
     fn deeper_vessels_transmit_less_and_spread_more() {
         let shallow = TissueModel::radial_artery();
-        let deep = shallow.with_depth(Meters(6.0e-3)).unwrap();
+        let deep =
+            TissueModel::new(Meters(6.0e-3), 0.0, 0.6, Meters(4.0e-3), Meters(0.8e-3)).unwrap();
         assert!(deep.epicenter_coupling() < shallow.epicenter_coupling());
         assert!(deep.kernel_width().value() > shallow.kernel_width().value());
     }
@@ -274,8 +260,6 @@ mod tests {
         assert!(TissueModel::new(Meters(2e-3), 0.0, 0.0, Meters(4e-3), Meters(1e-3)).is_err());
         assert!(TissueModel::new(Meters(2e-3), 0.0, 1.5, Meters(4e-3), Meters(1e-3)).is_err());
         assert!(TissueModel::new(Meters(2e-3), f64::NAN, 0.5, Meters(4e-3), Meters(1e-3)).is_err());
-        assert!(TissueModel::radial_artery()
-            .with_depth(Meters(-1.0))
-            .is_err());
+        assert!(TissueModel::new(Meters(-1.0), 0.0, 0.5, Meters(4e-3), Meters(1e-3)).is_err());
     }
 }

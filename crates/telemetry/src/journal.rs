@@ -131,17 +131,6 @@ impl Journal {
         self.state.lock().expect("journal lock poisoned").dropped
     }
 
-    /// Number of retained events at or above `min` severity.
-    pub fn count_at_least(&self, min: Severity) -> usize {
-        self.state
-            .lock()
-            .expect("journal lock poisoned")
-            .events
-            .iter()
-            .filter(|e| e.severity >= min)
-            .count()
-    }
-
     /// Clears all retained events (sequence numbers keep advancing).
     pub fn clear(&self) {
         let mut state = self.state.lock().expect("journal lock poisoned");
@@ -195,17 +184,6 @@ mod tests {
         assert_eq!(j.dropped(), 4);
         // Sequence numbers keep advancing after the wrap.
         assert_eq!(j.push(at(8), Severity::Info, "test", "late".into()), 7);
-    }
-
-    #[test]
-    fn severity_filter_counts() {
-        let j = Journal::new(16);
-        j.push(at(0), Severity::Debug, "test", "d".into());
-        j.push(at(1), Severity::Warning, "test", "w".into());
-        j.push(at(2), Severity::Critical, "test", "c".into());
-        assert_eq!(j.count_at_least(Severity::Debug), 3);
-        assert_eq!(j.count_at_least(Severity::Warning), 2);
-        assert_eq!(j.count_at_least(Severity::Critical), 1);
     }
 
     #[test]
