@@ -338,10 +338,9 @@ impl SensorChip {
         scratch: &mut ConversionScratch,
     ) {
         scratch.clear();
-        let vin = &self.voltage_input;
         scratch
             .inputs
-            .extend(inputs.iter().map(|&v| vin.input_fraction(v)));
+            .extend(inputs.iter().map(|&v| self.voltage_input.input_fraction(v)));
         self.modulator
             .step_block(&scratch.inputs, &mut scratch.bits);
     }
