@@ -104,11 +104,6 @@ impl PackedBits {
         self.len += len;
     }
 
-    /// The bit at `index`, or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<bool> {
-        (index < self.len).then(|| self.words[index / 64] >> (index % 64) & 1 == 1)
-    }
-
     /// Iterates the bits in stream order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         // Word-at-a-time: one shift per bit, one bounds check per 64.
@@ -219,10 +214,6 @@ mod tests {
         }
         assert_eq!(packed.len(), 200);
         assert!(!packed.is_empty());
-        for (i, &b) in pattern.iter().enumerate() {
-            assert_eq!(packed.get(i), Some(b), "bit {i}");
-        }
-        assert_eq!(packed.get(200), None);
         let unpacked: Vec<bool> = packed.iter().collect();
         assert_eq!(unpacked, pattern);
     }

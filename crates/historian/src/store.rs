@@ -534,6 +534,7 @@ fn parse_footer(segment: u64, bytes: &[u8]) -> Option<Vec<IndexEntry>> {
 // Open + recovery
 // ---------------------------------------------------------------------
 
+#[derive(Debug, PartialEq)]
 struct ScannedSegment {
     entries: Vec<IndexEntry>,
     /// Valid prefix length (header + whole records).
@@ -548,46 +549,85 @@ struct ScannedSegment {
 /// verified envelope CRC and meta gate. `valid_len < file_len` means a
 /// torn tail (or trailing garbage) that the caller should truncate —
 /// unless the scan stopped cleanly at a footer.
-fn scan_segment(id: u64, bytes: &[u8]) -> ScannedSegment {
-    let file_len = bytes.len() as u64;
-    if parse_seg_header(bytes).is_none() {
-        return ScannedSegment {
-            entries: Vec::new(),
-            valid_len: 0,
-            file_len,
-            sealed: false,
-        };
+///
+/// Streams the file: it holds one envelope at a time (in a reused
+/// buffer, allocated only once the length field passes the cap and
+/// fits the file) and reads a footer from its trailer at EOF.
+fn scan_segment(id: u64, file: &mut (impl Read + Seek)) -> io::Result<ScannedSegment> {
+    let file_len = file.seek(SeekFrom::End(0))?;
+    let mut scanned = ScannedSegment {
+        entries: Vec::new(),
+        valid_len: 0,
+        file_len,
+        sealed: false,
+    };
+    if file_len < SEG_HEADER_LEN {
+        return Ok(scanned);
     }
-    let mut entries = Vec::new();
-    let mut pos = SEG_HEADER_LEN as usize;
-    while pos < bytes.len() {
-        if bytes[pos..].len() >= 4 && &bytes[pos..pos + 4] == FOOTER_MAGIC {
+    let mut header = [0u8; SEG_HEADER_LEN as usize];
+    file.seek(SeekFrom::Start(0))?;
+    file.read_exact(&mut header)?;
+    if parse_seg_header(&header).is_none() {
+        return Ok(scanned);
+    }
+    let mut pos = SEG_HEADER_LEN;
+    let mut envelope = Vec::new();
+    while pos < file_len {
+        let left = file_len - pos;
+        let head_len = left.min(REC_HEADER_LEN as u64) as usize;
+        envelope.resize(head_len, 0);
+        file.read_exact(&mut envelope)?;
+        if envelope.starts_with(FOOTER_MAGIC) {
             // Sealed segment: the footer (already CRC-covered) runs to
             // EOF; nothing after it to scan and nothing to truncate.
-            if parse_footer(id, bytes).is_some() {
-                return ScannedSegment {
-                    entries,
-                    valid_len: file_len,
-                    file_len,
-                    sealed: true,
-                };
+            if read_footer(id, file, file_len)?.is_some() {
+                scanned.valid_len = file_len;
+                scanned.sealed = true;
+                return Ok(scanned);
             }
             break; // torn footer: drop it, keep the records
         }
-        match parse_envelope(id, pos as u64, &bytes[pos..]) {
-            Ok((entry, total)) => {
-                entries.push(entry);
+        if head_len < REC_HEADER_LEN || !envelope.starts_with(REC_MAGIC) {
+            break;
+        }
+        let payload_len = u32::from_le_bytes(envelope[40..44].try_into().expect("4 bytes"));
+        let total = REC_HEADER_LEN as u64 + u64::from(payload_len) + 4;
+        if payload_len > MAX_PAYLOAD || total > left {
+            break;
+        }
+        envelope.resize(total as usize, 0);
+        file.read_exact(&mut envelope[REC_HEADER_LEN..])?;
+        match parse_envelope(id, pos, &envelope) {
+            Ok((entry, _)) => {
+                scanned.entries.push(entry);
                 pos += total;
             }
             Err(_) => break,
         }
     }
-    ScannedSegment {
-        entries,
-        valid_len: pos as u64,
-        file_len,
-        sealed: false,
+    scanned.valid_len = pos;
+    Ok(scanned)
+}
+
+/// A sealed segment's footer entries, read from its trailer at the end
+/// of the `file_len`-byte file (at least the 28-byte header long);
+/// `None` for a torn or corrupt footer.
+fn read_footer(
+    segment: u64,
+    file: &mut (impl Read + Seek),
+    file_len: u64,
+) -> io::Result<Option<Vec<IndexEntry>>> {
+    let mut trailer = [0u8; 8];
+    file.seek(SeekFrom::End(-8))?;
+    file.read_exact(&mut trailer)?;
+    let footer_len = u32::from_le_bytes(trailer[..4].try_into().expect("4 bytes"));
+    if &trailer[4..] != FOOTER_TRAILER || !(20..=file_len).contains(&u64::from(footer_len)) {
+        return Ok(None);
     }
+    let mut footer = vec![0u8; footer_len as usize];
+    file.seek(SeekFrom::End(-i64::from(footer_len)))?;
+    file.read_exact(&mut footer)?;
+    Ok(parse_footer(segment, &footer))
 }
 
 fn list_segments(dir: &Path) -> io::Result<BTreeMap<u64, PathBuf>> {
@@ -661,8 +701,7 @@ impl Historian {
                 }
                 continue;
             }
-            let bytes = fs::read(path)?;
-            let scanned = scan_segment(id, &bytes);
+            let scanned = scan_segment(id, &mut File::open(path)?)?;
             if scanned.valid_len < scanned.file_len {
                 let dropped = scanned.file_len - scanned.valid_len;
                 report.truncated_segments += 1;
@@ -1338,11 +1377,140 @@ impl HistorianReader {
 mod tests {
     use super::*;
     use crate::scratch_dir;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn lanes(n: usize, base: f64) -> (Vec<f64>, Vec<MillimetersHg>) {
         let raw: Vec<f64> = (0..n).map(|i| base + i as f64).collect();
         let cal = raw.iter().map(|&r| MillimetersHg(80.0 + r * 0.1)).collect();
         (raw, cal)
+    }
+
+    /// The oracle for [`scan_segment`]: the same scan over the whole
+    /// file held in one slice.
+    fn scan_segment_slice(id: u64, bytes: &[u8]) -> ScannedSegment {
+        let file_len = bytes.len() as u64;
+        if parse_seg_header(bytes).is_none() {
+            return ScannedSegment {
+                entries: Vec::new(),
+                valid_len: 0,
+                file_len,
+                sealed: false,
+            };
+        }
+        let mut entries = Vec::new();
+        let mut pos = SEG_HEADER_LEN as usize;
+        while pos < bytes.len() {
+            if bytes[pos..].len() >= 4 && &bytes[pos..pos + 4] == FOOTER_MAGIC {
+                if parse_footer(id, bytes).is_some() {
+                    return ScannedSegment {
+                        entries,
+                        valid_len: file_len,
+                        file_len,
+                        sealed: true,
+                    };
+                }
+                break;
+            }
+            match parse_envelope(id, pos as u64, &bytes[pos..]) {
+                Ok((entry, total)) => {
+                    entries.push(entry);
+                    pos += total;
+                }
+                Err(_) => break,
+            }
+        }
+        ScannedSegment {
+            entries,
+            valid_len: pos as u64,
+            file_len,
+            sealed: false,
+        }
+    }
+
+    /// Segment 0 of six small stores built through `append` and
+    /// `append_tier`: 0, 1 and 4 records, each left open and sealed by
+    /// `seal_active`.
+    fn real_segments() -> &'static [Vec<u8>] {
+        static SEGMENTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        SEGMENTS.get_or_init(|| {
+            let t = Telemetry::disabled();
+            let mut out = Vec::new();
+            for records in [0u64, 1, 3] {
+                for seal in [false, true] {
+                    let dir = scratch_dir("store-scan-oracle");
+                    let (h, _) = Historian::open(&dir, StoreConfig::default(), &t).unwrap();
+                    for k in 0..records {
+                        let (raw, cal) = lanes(40 + 24 * k as usize, k as f64);
+                        h.append(k + 1, 1, 1000 * k, 1000.0, &raw, &cal).unwrap();
+                    }
+                    if records == 3 {
+                        let (raw, cal) = lanes(16, 0.0);
+                        h.append_tier(9, 1, 1, 0, 62.5, &raw, &cal).unwrap();
+                    }
+                    if seal {
+                        h.seal_active().unwrap();
+                    }
+                    drop(h);
+                    out.push(fs::read(seg_path(&dir, 0)).unwrap());
+                    fs::remove_dir_all(&dir).ok();
+                }
+            }
+            out
+        })
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_segment_scans_alike() {
+        for segment in real_segments() {
+            for cut in 0..=segment.len() {
+                let bytes = &segment[..cut];
+                let streamed = scan_segment(0, &mut io::Cursor::new(bytes)).unwrap();
+                assert_eq!(streamed, scan_segment_slice(0, bytes), "cut at {cut}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// On real open and sealed segments, as written or mutated —
+        /// truncated at any byte, one byte flipped, garbage appended, the
+        /// footer length forged, or one envelope's payload length forged
+        /// at or past the cap — the streaming scan returns exactly what
+        /// the slice scan does, and neither panics.
+        #[test]
+        fn streaming_scan_matches_the_slice_scan(
+            base in 0usize..6,
+            mutation in 0usize..6,
+            at in any::<u64>(),
+            value in 0usize..15,
+            flip in 1u8..=255,
+            garbage in prop::collection::vec(0u8..=255, 1..256),
+        ) {
+            let mut bytes = real_segments()[base].clone();
+            let len = bytes.len();
+            match mutation {
+                0 => bytes.truncate((at % (len as u64 + 1)) as usize),
+                1 => bytes[(at % len as u64) as usize] ^= flip,
+                2 => bytes.extend_from_slice(&garbage),
+                3 => {
+                    let forged = [0, 19, 20, len as u32, u32::MAX][value % 5];
+                    bytes[len - 8..len - 4].copy_from_slice(&forged.to_le_bytes());
+                }
+                4 => {
+                    let entries = scan_segment_slice(0, &bytes).entries;
+                    if !entries.is_empty() {
+                        let field = entries[(at % entries.len() as u64) as usize].offset as usize + 40;
+                        let forged = [MAX_PAYLOAD, MAX_PAYLOAD + 1, u32::MAX][value % 3];
+                        bytes[field..field + 4].copy_from_slice(&forged.to_le_bytes());
+                    }
+                }
+                _ => {}
+            }
+            let streamed = scan_segment(0, &mut io::Cursor::new(&bytes)).unwrap();
+            prop_assert_eq!(streamed, scan_segment_slice(0, &bytes));
+        }
     }
 
     #[test]

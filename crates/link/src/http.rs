@@ -3,25 +3,31 @@
 //! response writer, and a small blocking client.
 //!
 //! A server is a [`Routes`] table on an [`HttpServer`]: one thread
-//! accepts non-blocking, sleeps 2 ms when idle, and serves each
-//! connection inline under 500 ms IO timeouts — one request (headers
-//! plus a `Content-Length` body, capped at 8 KiB), one response,
-//! `Connection: close`.
+//! blocks in `accept` and serves each connection inline — one request
+//! (headers plus a `Content-Length` body, capped at 8 KiB), one
+//! response, `Connection: close` — under one 500 ms deadline for the
+//! whole exchange, so no client holds the thread longer than that.
+//! Shutdown wakes the thread by connecting to the server itself.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tonos_telemetry::json_escape;
 
-/// Accept-loop idle sleep (also the granularity of [`Routes::tick`]).
-const POLL: Duration = Duration::from_millis(2);
+/// How long one connection may hold the accept thread: reading its
+/// request and writing its response together.
+const DEADLINE: Duration = Duration::from_millis(500);
 
-/// How long one request may stall on a slow client.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// Pause after a failed `accept` (out of descriptors, say), so a
+/// persistent error does not spin the thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long shutdown's wake-up connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Request size cap: request line, headers and a small body.
 const MAX_REQUEST: usize = 8192;
@@ -81,9 +87,6 @@ pub trait Routes: Send + 'static {
 
     /// Runs once per accepted connection, before it is read.
     fn accepted(&self) {}
-
-    /// Runs once per loop iteration, before each accept attempt.
-    fn tick(&self) {}
 }
 
 /// A running server: one accept thread serving a [`Routes`] table.
@@ -106,7 +109,6 @@ impl HttpServer {
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, routes: impl Routes) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
@@ -129,39 +131,95 @@ impl HttpServer {
     ///
     /// If a route panicked on the accept thread.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().expect("http accept thread never panics");
+        if let Some(joined) = self.stop_and_join() {
+            joined.expect("http accept thread never panics");
         }
+    }
+
+    /// Sets the stop flag, wakes the blocked `accept` with a connection
+    /// of its own, and joins the accept thread (once).
+    fn stop_and_join(&mut self) -> Option<thread::Result<()>> {
+        let handle = self.accept_thread.take()?;
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+        Some(handle.join())
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        let _ = self.stop_and_join();
     }
+}
+
+/// Where a client reaches a listener bound at `addr`: an unspecified
+/// address (`0.0.0.0`, `[::]`) is reached through loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 fn accept_loop(listener: &TcpListener, routes: &impl Routes, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        routes.tick();
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 routes.accepted();
                 let _ = serve(stream, routes);
             }
-            Err(_) => thread::sleep(POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-/// Reads one request and writes one response; errors only on I/O.
-fn serve(mut stream: TcpStream, routes: &impl Routes) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+/// A connection whose every read and write gets only the time left
+/// before one deadline; past it, each fails with `TimedOut`.
+struct Deadlined {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Deadlined {
+    fn time_left(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+}
+
+impl Read for Deadlined {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Reads one request and writes one response, both within
+/// [`DEADLINE`] of the call; errors only on I/O.
+fn serve(stream: TcpStream, routes: &impl Routes) -> io::Result<()> {
+    let mut stream = Deadlined {
+        stream,
+        deadline: Instant::now() + DEADLINE,
+    };
     let request = read_request(&mut stream)?;
     let request = String::from_utf8_lossy(&request);
     let Response {
@@ -180,8 +238,8 @@ fn serve(mut stream: TcpStream, routes: &impl Routes) -> io::Result<()> {
 }
 
 /// Reads one request: headers, then as much body as `Content-Length`
-/// declares. Stops at EOF, at a read timeout, or once the cap is
-/// buffered, so it never holds more than the cap plus one read chunk.
+/// declares. Stops at EOF, at a timeout, or once the cap is buffered,
+/// so it never holds more than the cap plus one read chunk.
 fn read_request(stream: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(READ_CHUNK);
     let mut chunk = [0u8; READ_CHUNK];
@@ -293,6 +351,52 @@ mod tests {
     fn text(alphabet: &str, picks: &[usize]) -> String {
         let chars: Vec<char> = alphabet.chars().collect();
         picks.iter().map(|&i| chars[i % chars.len()]).collect()
+    }
+
+    /// Answers every request with an empty JSON object.
+    struct Empty;
+
+    impl Routes for Empty {
+        fn respond(&self, _: &Request<'_>) -> Response {
+            Response::json("200 OK", "{}".to_string())
+        }
+    }
+
+    /// Whether `stop` (a shutdown or a drop) returns within 2 s; a
+    /// thread that never wakes fails the test instead of hanging it.
+    fn stops_promptly(server: HttpServer, stop: fn(HttpServer)) -> bool {
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || {
+            stop(server);
+            let _ = done.send(());
+        });
+        let prompt = finished.recv_timeout(Duration::from_secs(2)).is_ok();
+        if prompt {
+            stopper.join().unwrap();
+        }
+        prompt
+    }
+
+    #[test]
+    fn idle_server_shuts_down_promptly() {
+        for stop in [HttpServer::shutdown, drop] {
+            let server = HttpServer::bind("127.0.0.1:0", Empty).unwrap();
+            // Long enough for the accept thread to block in `accept`.
+            thread::sleep(Duration::from_millis(20));
+            assert!(stops_promptly(server, stop));
+        }
+    }
+
+    #[test]
+    fn server_bound_to_an_unspecified_address_shuts_down() {
+        let server = HttpServer::bind("0.0.0.0:0", Empty).unwrap();
+        let addr = wake_addr(server.local_addr());
+        assert_eq!(addr.ip(), IpAddr::V4(Ipv4Addr::LOCALHOST));
+        let response = request(addr, "GET", "/", "").unwrap();
+        assert!(response.ends_with("\r\n\r\n{}"), "{response}");
+        assert!(stops_promptly(server, HttpServer::shutdown));
+        let any6: SocketAddr = "[::]:8080".parse().unwrap();
+        assert_eq!(wake_addr(any6), "[::1]:8080".parse().unwrap());
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   [`LinkStatus`](tonos_link::LinkStatus) JSON, mid-ingest included,
 //!   via a [`LinkDirectory`](tonos_link::LinkDirectory)), and `/flight`
 //!   (recorder ring status). Scrapes never mutate the observed
-//!   registry.
+//!   registry. With a recorder attached, the server ticks it on a
+//!   timer thread of its own, whether or not anyone is scraping.
 //!
 //! Wiring it to a running ingest server is three lines:
 //!

@@ -173,8 +173,8 @@ impl FlightRecorder {
 
     /// Captures a frame if at least one interval has elapsed on the
     /// registry clock since the last one. Returns whether it ticked —
-    /// poll loops (like the scope server's accept loop) call this every
-    /// iteration and let the clock decide.
+    /// timer loops (like the scope server's recorder thread) call this
+    /// once per interval and let the clock decide.
     pub fn maybe_tick(&mut self) -> bool {
         let now = self.registry.now();
         let due = match self.last_tick {

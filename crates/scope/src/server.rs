@@ -16,13 +16,16 @@
 //! * `GET /flight` — the attached [`FlightRecorder`]'s ring status.
 //!
 //! The server never mutates the observed registry: a scrape is a read.
-//! The shared accept loop's per-iteration hook drives the flight
-//! recorder's [`maybe_tick`](FlightRecorder::maybe_tick), so attaching
-//! a recorder is all it takes to get periodic history capture.
+//! When a flight recorder is attached, the server runs a timer thread
+//! that calls its [`maybe_tick`](FlightRecorder::maybe_tick) once per
+//! recorder interval, so attaching a recorder is all it takes to get
+//! periodic history capture, with or without traffic.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 
 use tonos_link::http::{HttpServer, Request, Response, Routes};
 use tonos_link::LinkDirectory;
@@ -57,7 +60,8 @@ impl ScopeSources {
         self
     }
 
-    /// Attaches a flight recorder; the accept loop drives its ticks.
+    /// Attaches a flight recorder; the server's timer thread drives its
+    /// ticks.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<Mutex<FlightRecorder>>) -> Self {
         self.recorder = Some(recorder);
@@ -82,6 +86,8 @@ impl std::fmt::Debug for ScopeSources {
 pub struct ScopeServer {
     server: HttpServer,
     requests: Arc<AtomicU64>,
+    /// The attached recorder's timer thread; dropped after the server.
+    _ticker: Option<Ticker>,
 }
 
 impl ScopeServer {
@@ -93,6 +99,7 @@ impl ScopeServer {
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, sources: ScopeSources) -> std::io::Result<Self> {
         let requests = Arc::new(AtomicU64::new(0));
+        let recorder = sources.recorder.clone();
         let routes = ScopeRoutes {
             sources,
             requests: Arc::clone(&requests),
@@ -100,6 +107,7 @@ impl ScopeServer {
         Ok(ScopeServer {
             server: HttpServer::bind(addr, routes)?,
             requests,
+            _ticker: recorder.map(Ticker::spawn),
         })
     }
 
@@ -113,9 +121,41 @@ impl ScopeServer {
         self.requests.load(Ordering::SeqCst)
     }
 
-    /// Stops the accept loop and joins it.
+    /// Stops the accept loop and the recorder's timer, and joins both.
     pub fn shutdown(self) {
         self.server.shutdown();
+    }
+}
+
+/// The recorder's timer thread: [`FlightRecorder::maybe_tick`], then a
+/// wait of one recorder interval on a channel. Dropping it drops the
+/// channel's sender, which ends the wait and the thread, and joins it.
+#[derive(Debug)]
+struct Ticker(Option<(Sender<()>, JoinHandle<()>)>);
+
+impl Ticker {
+    fn spawn(recorder: Arc<Mutex<FlightRecorder>>) -> Self {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = thread::spawn(move || loop {
+            let interval = {
+                let mut rec = recorder.lock().expect("flight recorder lock poisoned");
+                rec.maybe_tick();
+                rec.interval()
+            };
+            if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                break;
+            }
+        });
+        Ticker(Some((stop, thread)))
+    }
+}
+
+impl Drop for Ticker {
+    fn drop(&mut self) {
+        if let Some((stop, thread)) = self.0.take() {
+            drop(stop);
+            let _ = thread.join();
+        }
     }
 }
 
@@ -151,15 +191,6 @@ impl Routes for ScopeRoutes {
 
     fn accepted(&self) {
         self.requests.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn tick(&self) {
-        if let Some(recorder) = &self.sources.recorder {
-            recorder
-                .lock()
-                .expect("flight recorder lock poisoned")
-                .maybe_tick();
-        }
     }
 }
 
@@ -377,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn accept_loop_drives_the_recorder() {
+    fn recorder_ticks_on_its_own_timer_without_traffic() {
         let registry = Registry::new(); // real clock: ticks are time-driven
         let recorder = Arc::new(Mutex::new(FlightRecorder::new(
             registry.clone(),

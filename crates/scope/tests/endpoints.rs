@@ -221,8 +221,8 @@ fn live_endpoints_observe_eight_faulty_devices_mid_ingest() {
     let flight = body(&response);
     assert!(flight.starts_with("{\"enabled\":true"), "flight: {flight}");
     // On a fast machine the whole ingest can outrun a 20 ms tick
-    // interval, so wait for the accept loop (still running) to
-    // accumulate a few ticks rather than asserting a racy minimum.
+    // interval, so wait for the recorder's timer thread (still running)
+    // to accumulate a few ticks rather than asserting a racy minimum.
     for _ in 0..1_000 {
         if recorder.lock().unwrap().ticks() >= 3 {
             break;

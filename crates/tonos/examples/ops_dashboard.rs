@@ -45,7 +45,7 @@ fn main() {
 
     // The scope endpoint watches the ingest server's fleet registry and
     // live link directory; a 500 ms × 2 min flight recorder rides along
-    // on the endpoint's accept loop.
+    // on the endpoint's timer thread.
     let recorder = Arc::new(Mutex::new(FlightRecorder::new(
         link.fleet_registry().clone(),
         RecorderConfig {
