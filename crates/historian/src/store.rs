@@ -42,12 +42,15 @@
 //!
 //! ## Publish protocol
 //!
-//! The writer appends bytes, journals, **then** swaps in a rebuilt
-//! immutable index snapshot (`Mutex<Arc<IndexSnapshot>>` held only for
-//! the pointer exchange). Readers clone the `Arc` and never touch the
-//! writer lock: a record is visible only after it is fully on disk,
-//! which is the "readers never observe a partially published record"
-//! property the concurrency test pins down.
+//! The writer appends bytes, journals, **then** publishes the entry
+//! into the index snapshot (`Mutex<Arc<IndexSnapshot>>`, held only to
+//! clone the `Arc` or to insert one entry). Readers clone the `Arc` and
+//! never touch the writer lock: a record is visible only after it is
+//! fully on disk, which is the "readers never observe a partially
+//! published record" property the concurrency test pins down. The
+//! insert is copy-on-write (`Arc::make_mut`): with no reader holding
+//! the snapshot it lands in place, and a held snapshot is copied first,
+//! so every reader keeps an immutable view.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -159,7 +162,7 @@ impl IndexEntry {
 }
 
 /// An immutable, totally ordered view of every published record.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct IndexSnapshot {
     /// Sorted by `(device, session, tier, clock_start)`.
     entries: Vec<IndexEntry>,
@@ -288,7 +291,8 @@ struct Shared {
     dir: PathBuf,
     config: StoreConfig,
     writer: Mutex<Writer>,
-    /// The publish point: held only to clone or swap the Arc.
+    /// The publish point: held only to clone the Arc or to insert one
+    /// entry into it.
     index: Mutex<Arc<IndexSnapshot>>,
     segments_gauge: Gauge,
     bytes_gauge: Gauge,
@@ -957,14 +961,14 @@ impl Historian {
         w.seg_len += env.len() as u64;
         w.seg_entries.push(entry);
         w.journal.write_all(&encode_journal_entry(0, &entry))?;
-        // Publish: build the successor snapshot and swap the Arc. The
-        // record is fully on disk before any reader can see it.
+        // Publish: insert into the snapshot, in place unless a reader
+        // holds it (then into a copy). The record is fully on disk
+        // before any reader can see it.
         {
             let mut index = self.shared.index.lock().expect("historian index lock");
-            let mut next = index.entries.clone();
-            let at = next.partition_point(|e| e.key() <= entry.key());
-            next.insert(at, entry);
-            *index = Arc::new(IndexSnapshot { entries: next });
+            let entries = &mut Arc::make_mut(&mut index).entries;
+            let at = entries.partition_point(|e| e.key() <= entry.key());
+            entries.insert(at, entry);
         }
         self.shared.appends.inc();
         self.shared.append_bytes.add(env.len() as u64);
@@ -1045,12 +1049,12 @@ impl Historian {
         let mut report = CompactReport::default();
         let block = self.shared.config.tier_block;
         for source_tier in 0..MAX_TIER {
-            // Re-snapshot per tier step so tier-1 records built this
-            // pass are visible as sources for tier 2.
-            let snap = self.snapshot();
-            let sessions = snap.sessions();
+            // Every snapshot below lives for one statement, so none is
+            // held across an append and each append publishes in place;
+            // tier-1 records built this pass are sources for tier 2.
+            let sessions = self.snapshot().sessions();
             for (device, session) in sessions {
-                report.merge(self.compact_key(&snap, device, session, source_tier, block)?);
+                report.merge(self.compact_key(device, session, source_tier, block)?);
             }
         }
         self.shared.compactions.inc();
@@ -1059,7 +1063,6 @@ impl Historian {
 
     fn compact_key(
         &self,
-        snap: &IndexSnapshot,
         device: u64,
         session: u64,
         source_tier: u8,
@@ -1070,11 +1073,13 @@ impl Historian {
         let src_stride = tier_stride(source_tier);
         let block_clocks = block as u64 * src_stride;
         let reader = self.reader();
-        let sources = snap.range(device, session, source_tier, 0, u64::MAX);
         // Contiguous runs: a discontinuity (stream reset, re-based
         // clock) starts a new run with its own block alignment.
         let mut runs: Vec<(u64, u64)> = Vec::new();
-        for e in sources {
+        for e in self
+            .snapshot()
+            .range(device, session, source_tier, 0, u64::MAX)
+        {
             match runs.last_mut() {
                 Some((_, end)) if *end == e.clock_start => *end = e.clock_end,
                 _ => runs.push((e.clock_start, e.clock_end)),
@@ -1084,7 +1089,8 @@ impl Historian {
             // Resume where the target tier already reaches within this
             // run; block alignment off run_start keeps rebuilds
             // deterministic.
-            let built = snap
+            let built = self
+                .snapshot()
                 .range(device, session, target_tier, run_start, run_end)
                 .last()
                 .map_or(run_start, |e| e.clock_end);
@@ -1102,7 +1108,7 @@ impl Historian {
                     WARMUP as u64 * src_stride
                 };
                 let (rate, mut samples) = reader.read_lanes(
-                    snap,
+                    &self.snapshot(),
                     device,
                     session,
                     source_tier,
@@ -1601,6 +1607,48 @@ mod tests {
         assert_eq!(wave.points[599].clock, 699);
         assert_eq!(wave.points[599].raw, 1.0 + 199.0);
         drop(r);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_held_snapshot_keeps_its_view_across_an_append() {
+        let dir = scratch_dir("store-held");
+        let t = Telemetry::disabled();
+        let (h, _) = Historian::open(&dir, StoreConfig::default(), &t).unwrap();
+        let (raw, cal) = lanes(100, 0.0);
+        h.append(1, 1, 0, 1000.0, &raw, &cal).unwrap();
+        let held = h.snapshot();
+        let seen = held.entries().to_vec();
+        // Device 0 sorts first: an insert into the held snapshot would
+        // shift the entry it shows.
+        h.append(0, 1, 0, 1000.0, &raw, &cal).unwrap();
+        assert_eq!(held.len(), 1);
+        assert_eq!(held.entries(), seen.as_slice());
+        let next = h.snapshot();
+        assert_eq!(next.len(), 2);
+        assert_eq!(next.entries()[0].device, 0);
+        assert_eq!(&next.entries()[1..], seen.as_slice());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_and_compaction_publish_in_place_when_no_snapshot_is_held() {
+        let dir = scratch_dir("store-in-place");
+        let t = Telemetry::disabled();
+        let config = StoreConfig {
+            tier_block: 256,
+            ..StoreConfig::default()
+        };
+        let (h, _) = Historian::open(&dir, config, &t).unwrap();
+        let published = Arc::as_ptr(&h.snapshot());
+        let (raw, cal) = lanes(512, 0.0);
+        for k in 0..4 {
+            h.append(1, 1, k * 512, 1000.0, &raw, &cal).unwrap();
+            assert_eq!(Arc::as_ptr(&h.snapshot()), published);
+        }
+        assert_eq!(h.compact().unwrap().tier_records, 8);
+        assert_eq!(Arc::as_ptr(&h.snapshot()), published);
+        assert_eq!(h.snapshot().len(), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 

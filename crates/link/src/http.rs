@@ -24,10 +24,10 @@ const DEADLINE: Duration = Duration::from_millis(500);
 
 /// Pause after a failed `accept` (out of descriptors, say), so a
 /// persistent error does not spin the thread.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long shutdown's wake-up connection may take.
-const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+pub(crate) const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Request size cap: request line, headers and a small body.
 const MAX_REQUEST: usize = 8192;
@@ -154,7 +154,7 @@ impl Drop for HttpServer {
 
 /// Where a client reaches a listener bound at `addr`: an unspecified
 /// address (`0.0.0.0`, `[::]`) is reached through loopback.
-fn wake_addr(addr: SocketAddr) -> SocketAddr {
+pub(crate) fn wake_addr(addr: SocketAddr) -> SocketAddr {
     let ip = match addr.ip() {
         IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
         IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),

@@ -36,11 +36,15 @@
 //!   recovered within the window is **bit-identical** to a lossless
 //!   one; beyond it, recovery degrades to the explicit-gap machinery.
 //!   The byte-level rules live in the repo's `PROTOCOL.md`.
-//! * **Ingest server** ([`LinkServer`]): a `std`-only TCP listener
-//!   whose single non-blocking IO thread multiplexes every connection
-//!   onto per-connection chunk actors on the fleet worker pool, with
-//!   bounded per-connection queues, a slow-consumer disconnect policy,
-//!   and best-effort control write-back (acks, NAKs) on each socket.
+//! * **Ingest server** ([`LinkServer`]): a TCP listener whose single
+//!   IO thread blocks in Unix `poll(2)` until the listener or a socket
+//!   is readable, and multiplexes every connection onto per-connection
+//!   chunk actors on the fleet worker pool, with bounded per-connection
+//!   queues, a slow-consumer disconnect policy, and best-effort control
+//!   write-back (acks, NAKs) on each socket. The ingest server needs
+//!   Unix: `poll` and `listen` are bound from the C library `std`
+//!   already links, in one private module that holds the crate's only
+//!   `unsafe`.
 //! * **Live queries** ([`LinkDirectory`]): every connection publishes
 //!   its [`LinkHealth`] into a directory entry after each chunk, so
 //!   operators (and the `tonos-scope` endpoint's `/links`) can inspect
@@ -54,7 +58,11 @@
 //! in-process path.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(unix))]
+compile_error!("tonos-link's ingest server needs Unix poll(2)");
 
 pub mod auth;
 pub mod decode;
@@ -64,6 +72,9 @@ pub mod fault;
 pub mod http;
 pub mod pipeline;
 pub mod query;
+#[cfg(unix)]
+#[allow(unsafe_code)]
+mod ready;
 pub mod server;
 
 pub use auth::LinkKey;

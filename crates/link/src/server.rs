@@ -1,17 +1,25 @@
-//! A `std`-only ingest server: one TCP connection per device, one
+//! An ingest server: one TCP connection per device, one
 //! [`HostPipeline`] per connection, multiplexed by a single IO thread
 //! over the fleet's worker pool.
 //!
 //! ## Shape
 //!
 //! * **One IO thread, any number of links.** The listener and every
-//!   accepted socket are non-blocking; a readiness loop sweeps them
-//!   round-robin — accept new connections, read whatever bytes are
-//!   ready, hand each chunk to that connection's **chunk actor** on the
-//!   [`FleetEngine`] pool ([`FleetEngine::open_actor`]). No
-//!   thread-per-connection anywhere: thread count is `1 + workers`,
-//!   constant from 1 link to 10k (the loopback sweep in
-//!   `BENCH_link.json` gates exactly this).
+//!   accepted socket are non-blocking; the IO thread blocks in Unix
+//!   `poll(2)` until the listener or a socket is readable, reads the
+//!   ready sockets, accepts new connections, and hands each chunk to
+//!   that connection's **chunk actor** on the [`FleetEngine`] pool
+//!   ([`FleetEngine::open_actor`]). No thread-per-connection anywhere:
+//!   thread count is `1 + workers`, constant from 1 link to 10k (the
+//!   loopback sweep in `BENCH_link.json` gates exactly this). The
+//!   listener asks for a 4096-deep accept queue, so a burst of devices
+//!   connecting at once queues in the kernel.
+//! * **Wakes are few.** With nothing to read the wait lasts 100 ms,
+//!   the tick on which finished sessions roll up. After a wake that
+//!   moved bytes the loop pauses 1 ms, so a busy link's packets are
+//!   read a few at a time rather than one wake per packet, while a link
+//!   that has been quiet is read the moment its first byte lands.
+//!   Every wake counts into [`names::LINK_IO_WAKES`].
 //! * **Ordering without pinning.** A chunk actor is run by at most one
 //!   worker at a time and sees chunks in push order, so each
 //!   connection's pipeline state is single-threaded even though any
@@ -19,8 +27,9 @@
 //!   that is what lets a fixed pool carry thousands of links.
 //! * **Backpressure is bounded.** Each actor's chunk queue is bounded.
 //!   When a connection's queue is full the IO thread simply stops
-//!   reading that socket (TCP pushes back on the device); if the queue
-//!   stays full past a grace window the connection is evicted, bumping
+//!   reading that socket (TCP pushes back on the device) and retries
+//!   the refused chunk every 1 ms; if the queue stays full past a grace
+//!   window the connection is evicted, bumping
 //!   [`names::LINK_SLOW_CONSUMER_DISCONNECTS`] and journaling the
 //!   eviction — an unbounded queue on a medical ingest path is a
 //!   slow-motion out-of-memory abort.
@@ -31,9 +40,11 @@
 //!   NAK is re-requested on the next chunk; the device's decoder
 //!   resyncs across any partial write.
 //! * **Shutdown is cooperative.** [`LinkServer::shutdown`] flips a stop
-//!   flag; the IO loop notices, closes every actor (queued chunks are
-//!   still processed first), and the fleet engine is drained for its
-//!   report and merged telemetry snapshot.
+//!   flag and wakes the IO thread by connecting to the server itself;
+//!   the loop checks the flag before it accepts, so that connection
+//!   never becomes a session. It then closes every actor (queued chunks
+//!   are still processed first), and the fleet engine is drained for
+//!   its report and merged telemetry snapshot.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,8 +59,10 @@ use tonos_fleet::{ActorEvent, ActorHandle, ChunkFull, FleetConfig, FleetEngine, 
 use tonos_telemetry::{names, Histogram, Registry, Severity, Telemetry, TelemetrySnapshot};
 
 use crate::auth::LinkKey;
+use crate::http::{wake_addr, ACCEPT_BACKOFF, WAKE_TIMEOUT};
 use crate::pipeline::{GapPolicy, HostPipeline, HostSample, LinkCalibration};
 use crate::query::{LinkDirectory, LinkEntry, LinkStatus};
+use crate::ready::{deepen_backlog, PollSet};
 
 /// Identity of one ingesting connection as seen by an [`IngestTap`].
 #[derive(Debug, Clone)]
@@ -86,15 +99,24 @@ pub trait IngestTap: Send + Sync {
 /// Socket read size and actor chunk granularity.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Reads taken from one socket per readiness sweep before moving on —
-/// fairness cap so one firehose device cannot starve its neighbours.
+/// Reads taken from one socket per wake before moving on — fairness
+/// cap so one firehose device cannot starve its neighbours.
 const READS_PER_SWEEP: usize = 4;
 
-/// Accepts taken per readiness sweep before the sockets get a turn.
+/// Accepts taken per wake before the sockets get a turn.
 const ACCEPTS_PER_SWEEP: usize = 64;
 
-/// Idle-sweep sleep for the readiness loop.
-const POLL: Duration = Duration::from_millis(5);
+/// Readiness wait with nothing parked: the tick on which finished
+/// sessions roll up into the fleet registry.
+const IDLE_TICK: Duration = Duration::from_millis(100);
+
+/// Readiness wait while a refused chunk is parked: the cadence of its
+/// retries and of the grace-window check.
+const PARKED_TICK: Duration = Duration::from_millis(1);
+
+/// Pause after a wake that moved bytes, so a busy link is read a few
+/// packets at a time instead of one wake per packet.
+const WAKE_SPACING: Duration = Duration::from_millis(1);
 
 /// Ingest server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -189,6 +211,7 @@ impl LinkServer {
         tap: Option<Arc<dyn IngestTap>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        deepen_backlog(&listener)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -262,21 +285,24 @@ impl LinkServer {
     /// returns the fleet report (one session per connection) plus the
     /// merged telemetry snapshot.
     pub fn shutdown(mut self) -> (FleetReport, TelemetrySnapshot) {
+        self.stop_and_join()
+            .expect("IO thread present until shutdown")
+            .expect("IO thread never panics")
+    }
+
+    /// Sets the stop flag, wakes the IO thread's wait with a connection
+    /// of its own, and joins the thread (once).
+    fn stop_and_join(&mut self) -> Option<thread::Result<(FleetReport, TelemetrySnapshot)>> {
+        let handle = self.io_thread.take()?;
         self.stop.store(true, Ordering::SeqCst);
-        let handle = self
-            .io_thread
-            .take()
-            .expect("IO thread present until shutdown");
-        handle.join().expect("IO thread never panics")
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+        Some(handle.join())
     }
 }
 
 impl Drop for LinkServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.io_thread.take() {
-            let _ = handle.join();
-        }
+        let _ = self.stop_and_join();
     }
 }
 
@@ -295,8 +321,8 @@ struct Conn {
     done: bool,
 }
 
-/// The single IO thread: a hand-rolled readiness loop over the
-/// non-blocking listener and every connection socket.
+/// The single IO thread: a readiness loop that blocks in `poll(2)` on
+/// the listener and every connection socket.
 fn io_loop(
     listener: &TcpListener,
     mut engine: FleetEngine,
@@ -311,16 +337,44 @@ fn io_loop(
         names::LINK_QUEUE_DEPTH,
         &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
     );
+    let wakes = fleet_tel.counter(names::LINK_IO_WAKES);
     let grace = Duration::from_millis(config.slow_consumer_grace_ms);
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; READ_CHUNK];
-    while !stop.load(Ordering::SeqCst) {
+    let mut set = PollSet::default();
+    loop {
+        // Entry 0 is the listener, entry i + 1 is conns[i]. A socket
+        // with a parked chunk is not read, so it is not watched either.
+        set.clear();
+        set.add(listener, true);
+        for conn in &conns {
+            set.add(&conn.stream, conn.pending.is_none());
+        }
+        let parked = conns.iter().any(|c| c.pending.is_some());
+        let timeout = if parked { PARKED_TICK } else { IDLE_TICK };
+        if let Err(e) = set.wait(timeout) {
+            fleet_tel.event(Severity::Warning, "link.server", || {
+                format!("readiness wait failed ({e}); retrying")
+            });
+            thread::sleep(timeout);
+        }
+        wakes.inc();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // Sweep before accepting, so the poll indices still line up.
         let mut progressed = false;
-        // Admit new devices, a bounded batch per sweep.
-        for _ in 0..ACCEPTS_PER_SWEEP {
+        for (i, conn) in conns.iter_mut().enumerate() {
+            if conn.pending.is_some() || set.ready(i + 1) {
+                progressed |= sweep_conn(conn, &mut buf, grace, &queue_depth, &fleet_tel);
+            }
+        }
+        conns.retain(|c| !c.done);
+        // Admit new devices, a bounded batch per wake.
+        let accepts = if set.ready(0) { ACCEPTS_PER_SWEEP } else { 0 };
+        for _ in 0..accepts {
             match listener.accept() {
                 Ok((stream, peer)) => {
-                    progressed = true;
                     connections.fetch_add(1, Ordering::SeqCst);
                     fleet_tel.counter(names::LINK_CONNECTIONS).inc();
                     match open_connection(
@@ -345,31 +399,24 @@ fn io_loop(
                     // ECONNABORTED, EINTR, EMFILE under fd pressure...:
                     // a transient accept failure must not silently stop
                     // the ward from admitting devices. Journal it and
-                    // keep listening; the stop flag is the only exit.
+                    // keep listening; the stop flag is the only exit. A
+                    // refused connection stays queued, so the listener
+                    // stays ready: back off rather than spin on it.
                     fleet_tel.counter(names::LINK_ACCEPT_ERRORS).inc();
                     fleet_tel.event(Severity::Warning, "link.server", || {
                         format!("accept error ({e}); still listening")
                     });
+                    thread::sleep(ACCEPT_BACKOFF);
                     break;
                 }
             }
         }
-        // Sweep the sockets round-robin.
-        for conn in &mut conns {
-            if conn.done {
-                continue;
-            }
-            if sweep_conn(conn, &mut buf, grace, &queue_depth, &fleet_tel) {
-                progressed = true;
-            }
-        }
-        conns.retain(|c| !c.done);
         // Fold any finished sessions into the fleet rollup now, so live
         // scrapes of the fleet registry see completed-session telemetry
         // promptly instead of only at shutdown.
         engine.poll_finished();
-        if !progressed {
-            thread::sleep(POLL);
+        if progressed {
+            thread::sleep(WAKE_SPACING);
         }
     }
     // Cooperative shutdown: close every actor (queued chunks are still
@@ -383,7 +430,7 @@ fn io_loop(
     (report, snapshot)
 }
 
-/// Services one connection for one sweep: retry a refused chunk, evict
+/// Services one connection for one wake: retry a refused chunk, evict
 /// on expired grace, read up to [`READS_PER_SWEEP`] chunks. Returns
 /// whether any progress was made.
 fn sweep_conn(
@@ -644,7 +691,7 @@ mod tests {
             conn.write_all(&wire).unwrap();
         }
         while server.connections() < 1 {
-            thread::sleep(POLL);
+            thread::sleep(Duration::from_millis(5));
         }
         // Give the IO loop a beat to drain the socket to EOF.
         thread::sleep(Duration::from_millis(100));

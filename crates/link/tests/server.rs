@@ -1,7 +1,9 @@
 //! Loopback ingest at scale: eight concurrent device sessions over real
 //! TCP sockets, each matching the in-process signal path exactly on a
 //! fault-free transport — plus live `/links`-style queries mid-ingest
-//! on a faulty one.
+//! on a faulty one, a burst of connects deeper than `std`'s accept
+//! queue, the IO loop's idle wake rate, and slow devices beside a
+//! streaming one.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -447,5 +449,142 @@ fn links_query_sees_counters_move_mid_ingest() {
     assert!(
         resets >= DEVICES as u64,
         "rolled-up stream resets {resets} < {DEVICES}"
+    );
+}
+
+#[test]
+fn three_hundred_queued_connects_all_land() {
+    // Std listens with a 128-deep accept queue; past it, a connect's
+    // SYN goes unanswered and waits out a 1 s retransmit. Four clients
+    // connect 75 times each as fast as they can, and every connect must
+    // land within its 250 ms timeout. (The server asks for 4096; the
+    // kernel caps that at `net.core.somaxconn`, 4096 by default since
+    // Linux 5.4.)
+    const CLIENTS: usize = 4;
+    const EACH: usize = 75;
+    let server = LinkServer::bind("127.0.0.1:0", LinkServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            thread::spawn(move || -> Vec<TcpStream> {
+                (0..EACH)
+                    .map(|i| {
+                        TcpStream::connect_timeout(&addr, Duration::from_millis(250))
+                            .unwrap_or_else(|e| panic!("client {c}, connect {i}: {e}"))
+                    })
+                    .collect()
+            })
+        })
+        .collect();
+    let held: Vec<Vec<TcpStream>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    let mut waited = 0;
+    while server.connections() < CLIENTS * EACH && waited < 10_000 {
+        thread::sleep(Duration::from_millis(10));
+        waited += 10;
+    }
+    drop(held);
+    let (report, _) = server.shutdown();
+    assert_eq!(report.len(), CLIENTS * EACH);
+}
+
+#[test]
+fn an_idle_server_wakes_on_its_tick_only() {
+    // One open, silent connection: the IO loop should wake about ten
+    // times a second on its idle tick, not sweep continuously.
+    let server = LinkServer::bind("127.0.0.1:0", LinkServerConfig::default()).unwrap();
+    let _silent = TcpStream::connect(server.local_addr()).unwrap();
+    while server.connections() < 1 {
+        thread::sleep(Duration::from_millis(5));
+    }
+    let wakes = || {
+        server
+            .fleet_registry()
+            .snapshot()
+            .counter(names::LINK_IO_WAKES)
+            .unwrap_or(0)
+    };
+    let before = wakes();
+    thread::sleep(Duration::from_secs(1));
+    let woke = wakes() - before;
+    assert!(woke > 0, "the wake counter never moved");
+    assert!(woke <= 15, "{woke} wakes in 1 s with nothing to read");
+}
+
+#[test]
+fn slow_devices_cost_a_streaming_neighbour_nothing() {
+    // A silent device and one that sends a byte every 50 ms stay
+    // connected while a third streams a whole session. The session must
+    // be ingested, hung up and closed while both slow devices are still
+    // on, and must match the in-process path exactly.
+    const BOUND: Duration = Duration::from_secs(20);
+    let config = SystemConfig::paper_default();
+    let server = LinkServer::bind(
+        "127.0.0.1:0",
+        LinkServerConfig {
+            workers: 2,
+            decimator: config.decimator,
+            ..LinkServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let silent = TcpStream::connect(addr).unwrap();
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
+    let mut dribbling = TcpStream::connect(addr).unwrap();
+    let dribbler = thread::spawn(move || {
+        // A real packet short of its last byte, so the frame never
+        // completes however long the dribble runs.
+        let patient = PatientProfile::normotensive();
+        let mut device = DeviceSimulator::new(&config, &patient, DURATION_S).unwrap();
+        let packet = device.next_packet().unwrap().unwrap();
+        for &byte in &packet[..packet.len() - 1] {
+            if stop_rx.recv_timeout(Duration::from_millis(50)).is_ok() {
+                return;
+            }
+            dribbling.write_all(&[byte]).unwrap();
+        }
+        stop_rx.recv().unwrap();
+    });
+
+    let patient = PatientProfile::hypertensive().with_seed(0xD1B);
+    let expected = expected_for(&config, &patient);
+    let t0 = std::time::Instant::now();
+    let streamer = thread::spawn(move || {
+        let mut device = DeviceSimulator::new(&config, &patient, DURATION_S).unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let peer = stream.local_addr().unwrap().to_string();
+        while let Some(packet) = device.next_packet().unwrap() {
+            stream.write_all(&packet).unwrap();
+        }
+        peer
+    });
+    let peer = streamer.join().unwrap();
+    let links = wait_links(&server, "the streaming session closed", |s| {
+        s.peer != peer || !s.live
+    });
+    let waited = t0.elapsed();
+    assert_eq!(links.len(), 3);
+    for s in &links {
+        assert_eq!(s.live, s.peer != peer, "{s:?}");
+    }
+    assert!(waited < BOUND, "the streaming session took {waited:?}");
+
+    stop_tx.send(()).unwrap();
+    dribbler.join().unwrap();
+    drop(silent);
+    let (report, _) = server.shutdown();
+    let mut actual: Vec<(u64, u64, u64)> = report
+        .completed()
+        .map(|(_, s)| (s.samples as u64, s.beats as u64, s.alarms as u64))
+        .collect();
+    actual.sort_unstable();
+    assert_eq!(
+        actual,
+        vec![
+            (0, 0, 0),
+            (0, 0, 0),
+            (expected.samples, expected.beats, expected.alarms)
+        ]
     );
 }

@@ -133,6 +133,9 @@ pub mod names {
     /// Per-connection ingest queue depth observed at each enqueue
     /// (histogram, chunks).
     pub const LINK_QUEUE_DEPTH: &str = "link.queue_depth";
+    /// Returns of a link server's IO loop from its readiness wait, idle
+    /// ticks included (counter).
+    pub const LINK_IO_WAKES: &str = "link.io_wakes";
     /// Wire-frame decode stage duration per ingested chunk (span
     /// histogram, seconds).
     pub const SPAN_LINK_DECODE: &str = "span.link.decode_s";
