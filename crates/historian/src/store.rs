@@ -50,7 +50,9 @@
 //! published record" property the concurrency test pins down. The
 //! insert is copy-on-write (`Arc::make_mut`): with no reader holding
 //! the snapshot it lands in place, and a held snapshot is copied first,
-//! so every reader keeps an immutable view.
+//! so every reader keeps an immutable view. Readers copy the entries a
+//! query needs and drop the snapshot before their file IO, so they
+//! hold it only for that copy.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -1108,7 +1110,6 @@ impl Historian {
                     WARMUP as u64 * src_stride
                 };
                 let (rate, mut samples) = reader.read_lanes(
-                    &self.snapshot(),
                     device,
                     session,
                     source_tier,
@@ -1236,7 +1237,6 @@ impl HistorianReader {
     /// records (compaction only asks for ranges inside one run).
     fn read_lanes(
         &self,
-        snap: &IndexSnapshot,
         device: u64,
         session: u64,
         tier: u8,
@@ -1244,12 +1244,16 @@ impl HistorianReader {
         to: u64,
     ) -> io::Result<(f64, Vec<(f64, f64)>)> {
         let stride = tier_stride(tier);
-        let entries = snap.range(device, session, tier, from, to);
+        // As in `read_tier`: no snapshot held across the file IO.
+        let entries = self
+            .snapshot()
+            .range(device, session, tier, from, to)
+            .to_vec();
         let mut out = Vec::with_capacity(((to - from) / stride) as usize);
         let mut rate = 0.0;
         let mut expect = from;
         let mut file: Option<(u64, File)> = None;
-        for e in entries {
+        for e in &entries {
             if e.clock_start.max(from) != expect {
                 return Err(corrupt(format!(
                     "range [{from}, {to}) tier {tier} has a hole at clock {expect}"
@@ -1293,12 +1297,18 @@ impl HistorianReader {
         to: u64,
     ) -> io::Result<RangedWave> {
         self.shared.reads.inc();
-        let snap = self.snapshot();
+        // Copy the range's entries out rather than hold the snapshot
+        // across file IO: an append meeting a held snapshot copies the
+        // whole index.
+        let entries = self
+            .snapshot()
+            .range(device, session, tier, from, to)
+            .to_vec();
         let stride = tier_stride(tier);
         let mut points = Vec::new();
         let mut rate = 0.0;
         let mut file: Option<(u64, File)> = None;
-        for e in snap.range(device, session, tier, from, to) {
+        for e in &entries {
             let f = match &mut file {
                 Some((id, f)) if *id == e.segment => f,
                 _ => {
