@@ -13,8 +13,9 @@
 //!    the scalar i64 CIC (the word kernel's baseline), the integer FPGA
 //!    datapath, the 4,096-point FFT and spectral metrics, the exact
 //!    capacitance model against the chip's LUT, the plate solve, the
-//!    voltage-input path and the streaming analyzer. Recorded as data,
-//!    ungated.
+//!    voltage-input path, the streaming analyzer, and the CRC-32 under
+//!    every link frame and store record (with its bytewise reference).
+//!    Recorded as data, ungated.
 //! 4. Session throughput (sessions/s) on `FleetEngine` pools of
 //!    several widths, the one-worker pool being the single-thread
 //!    figure. Every width runs the same sessions, and the widths are
@@ -25,9 +26,9 @@
 //! another: every round runs each leg once, so each figure is the
 //! minimum over rounds spread across the whole measurement (about four
 //! seconds for the stages and three for the kernels on a 2-vCPU host;
-//! roughly a quarter of that with `--quick`). A shared host runs slow for
-//! stretches of a second or more, so a shorter span lets one stretch
-//! decide a figure.
+//! `--quick` cuts the stages to roughly a quarter and keeps every kernel
+//! round). A shared host runs slow for stretches of a second or more, so
+//! a shorter span lets one stretch decide a figure.
 //!
 //! Every gate is a numeric `gate_*` field in the JSON `gates` block and
 //! is asserted by this binary (exit nonzero on miss) — the CI
@@ -47,6 +48,7 @@ use tonos_analog::nonideal::NonIdealities;
 use tonos_bench::best_of;
 use tonos_core::chip::SensorChip;
 use tonos_core::config::SystemConfig;
+use tonos_core::export::write_record_parts;
 use tonos_core::readout::ReadoutSystem;
 use tonos_core::stream::{AlarmLimits, OnlineAnalyzer};
 use tonos_dsp::bits::PackedBits;
@@ -55,6 +57,7 @@ use tonos_dsp::decimator::{DecimatorConfig, CIC_INPUT_FRAC_BITS};
 use tonos_dsp::fft::{fft, Complex};
 use tonos_dsp::fir::FirDecimator;
 use tonos_dsp::fpga::FixedPointDecimator;
+use tonos_dsp::frame::{crc32, crc32_bytewise, Frame, CRC_LEN, SYNC};
 use tonos_dsp::metrics::DynamicMetrics;
 use tonos_dsp::signal::sine_wave;
 use tonos_dsp::spectrum::Spectrum;
@@ -74,6 +77,17 @@ const SESSIONS: usize = 8;
 
 /// Points of the FFT and spectral-metrics kernels: the Fig. 7 record.
 const FFT_POINTS: usize = 4096;
+
+/// Rounds of the kernels block, `--quick` included: at 60 rounds one slow
+/// stretch of the host decided a figure.
+const KERNEL_ROUNDS: usize = 300;
+
+/// Samples in one store record, as the hub flushes them.
+const RECORD_SAMPLES: usize = 1024;
+
+/// CRCs of one link frame's bytes per round, so a round times microseconds
+/// rather than the timer.
+const FRAME_CRCS: usize = 128;
 
 /// Pressures per round of the MEMS kernels: a 40–200 mmHg sweep, long
 /// enough that the fastest round (the plate solve) is microseconds, far
@@ -171,7 +185,7 @@ fn stages(rounds: usize, dec_seconds: usize, frames: usize) -> Stages {
 
 /// Per-kernel costs in ns per item, named as in the JSON `kernels`
 /// block, from one interleaved [`best_of`] call.
-fn kernels(rounds: usize) -> [(&'static str, f64); 9] {
+fn kernels(rounds: usize) -> [(&'static str, f64); 12] {
     let bits_i64: Vec<i64> = (0..CLOCKS)
         .map(|i| if i % 3 == 0 { 1 } else { -1 })
         .collect();
@@ -201,6 +215,16 @@ fn kernels(rounds: usize) -> [(&'static str, f64); 9] {
 
     let normotensive = PatientProfile::normotensive().record(1000.0, 60.0).unwrap();
     let stream: Vec<f64> = normotensive.samples.iter().map(|p| p.value()).collect();
+
+    // One record's payload (the bytes the store and the record codec
+    // CRC) and the CRC'd bytes of one 1,024-bit link frame.
+    let raw: Vec<f64> = stream[..RECORD_SAMPLES].to_vec();
+    let cal: Vec<MillimetersHg> = raw.iter().map(|&p| MillimetersHg(p / 133.322)).collect();
+    let mut store_record = Vec::new();
+    write_record_parts(1000.0, 0, &raw, &cal, &mut store_record).unwrap();
+    let link_bits: PackedBits = (0..1024).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+    let encoded = Frame::bitstream(0, 0, 0, &link_bits).unwrap().encode();
+    let frame = &encoded[SYNC.len()..encoded.len() - CRC_LEN];
 
     let secs = best_of(
         rounds,
@@ -241,6 +265,17 @@ fn kernels(rounds: usize) -> [(&'static str, f64); 9] {
                 let mut analyzer = OnlineAnalyzer::new(1000.0, AlarmLimits::adult()).unwrap();
                 black_box(analyzer.push_block(black_box(&stream)));
             },
+            &mut || {
+                black_box(crc32(black_box(&store_record)));
+            },
+            &mut || {
+                for _ in 0..FRAME_CRCS {
+                    black_box(crc32(black_box(frame)));
+                }
+            },
+            &mut || {
+                black_box(crc32_bytewise(black_box(&store_record)));
+            },
         ],
     );
     let per_item = [
@@ -253,6 +288,9 @@ fn kernels(rounds: usize) -> [(&'static str, f64); 9] {
         ("plate_deflection_ns", SWEEP),
         ("acquire_voltage_ns_per_clock", CLOCKS),
         ("online_analyzer_ns_per_sample", stream.len()),
+        ("crc32_record_ns_per_byte", store_record.len()),
+        ("crc32_frame_ns_per_byte", frame.len() * FRAME_CRCS),
+        ("crc32_bytewise_record_ns_per_byte", store_record.len()),
     ];
     std::array::from_fn(|i| (per_item[i].0, secs[i] * 1e9 / per_item[i].1 as f64))
 }
@@ -288,10 +326,10 @@ struct GateCheck {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (rounds, kernel_rounds, dec_seconds, frames, duration_s) = if quick {
-        (160, 60, 2, 500, 6.0)
+    let (rounds, dec_seconds, frames, duration_s) = if quick {
+        (160, 2, 500, 6.0)
     } else {
-        (256, 300, 8, 2000, 8.0)
+        (256, 8, 2000, 8.0)
     };
     eprintln!(
         "measuring on {cores} hardware thread(s){}...",
@@ -305,7 +343,7 @@ fn main() {
         "  stages: modulator {:.1} ns/clock, cic {:.2} ns/bit, fir {:.1} ns/sample, frame {:.0} ns",
         st.modulator_ns_per_clock, st.cic_ns_per_bit, st.fir_ns_per_sample, st.frame_ns
     );
-    let kernels = kernels(kernel_rounds);
+    let kernels = kernels(KERNEL_ROUNDS);
     for (name, ns) in &kernels {
         eprintln!("  kernel {name}: {ns:.2}");
     }
@@ -391,7 +429,7 @@ fn main() {
     println!("  }},");
     println!("  \"kernels\": {{");
     println!("    \"host_hardware_threads\": {cores},");
-    println!("    \"best_of_rounds\": {kernel_rounds},");
+    println!("    \"best_of_rounds\": {KERNEL_ROUNDS},");
     for (i, (name, ns)) in kernels.iter().enumerate() {
         let comma = if i + 1 < kernels.len() { "," } else { "" };
         let digits = if *ns < 100.0 { 2 } else { 0 };

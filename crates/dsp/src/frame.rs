@@ -224,28 +224,76 @@ impl Nak {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the
-/// polynomial every USB/Ethernet-adjacent link layer uses, table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The bytewise CRC-32 table: the register after shifting byte `i`
+/// through the reflected polynomial `0xEDB8_8320`.
+const TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// Slicing-by-8 tables: `SLICES[k][i]` is the register after byte `i`
+/// followed by `k` zero bytes, so `SLICES[0]` is [`TABLE`] and one step
+/// of [`crc32`] folds eight bytes with eight independent lookups. 8 KiB.
+static SLICES: [[u32; 256]; 8] = {
+    let mut slices = [[0u32; 256]; 8];
+    slices[0] = TABLE;
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let c = slices[k - 1][i];
+            slices[k][i] = TABLE[(c & 0xFF) as usize] ^ (c >> 8);
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    slices
+};
+
+/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the
+/// polynomial every USB/Ethernet-adjacent link layer uses. Slicing-by-8:
+/// eight bytes per step through eight lookup tables, then the bytewise
+/// loop for the tail; equal to [`crc32_bytewise`] on every input.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &SLICES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// CRC-32 one table lookup per byte: the specification [`crc32`] is
+/// tested against, about four times slower. Not for production paths.
+pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
@@ -478,6 +526,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_bits(n: usize) -> PackedBits {
         (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect()
@@ -486,8 +535,36 @@ mod tests {
     #[test]
     fn crc32_matches_known_vectors() {
         // The two universally published IEEE CRC-32 check values.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference_at_every_short_length() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]), "{len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random bytes of up to a little over 2 KiB, sliced out of a
+        /// larger buffer at every start offset 0–7: the slicing kernel
+        /// agrees with the bytewise reference.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            buf in prop::collection::vec(0u8..=255, 2_120),
+            len in 0usize..=2_112,
+        ) {
+            for start in 0..8 {
+                let bytes = &buf[start..start + len];
+                prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {}, len {}", start, len);
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ use tonos_core::export::{read_session_record, validate_record_meta, write_record
 use tonos_dsp::frame::{crc32, Frame, ParseOutcome};
 use tonos_fleet::{FleetEngine, SessionSummary};
 use tonos_mems::units::MillimetersHg;
-use tonos_telemetry::{names, Counter, Gauge, Histogram, Severity, Telemetry};
+use tonos_telemetry::{names, Counter, Gauge, Histogram, Severity, SpanTimer, Telemetry};
 
 use crate::tiers::{downsample_block, tier_stride, MAX_TIER, TIER_RATIO, WARMUP};
 
@@ -307,6 +307,8 @@ struct Shared {
     compactions: Counter,
     tier_records: Counter,
     fsync_hist: Histogram,
+    append_span: SpanTimer,
+    read_range_span: SpanTimer,
 }
 
 /// The append-only segmented waveform store. Cheap to clone (an
@@ -469,6 +471,20 @@ fn parse_journal_entry(b: &[u8]) -> Option<(u8, IndexEntry)> {
         payload_len: u32::from_le_bytes(b[54..58].try_into().ok()?),
     };
     Some((b[4], entry))
+}
+
+/// Whether a journaled record entry stays inside the bounds that
+/// [`parse_envelope`] and the segment scan enforce, given its segment
+/// file's length (0 if the file is missing). Replay trusts entries of
+/// journal-sealed segments without reading them, and a read sizes its
+/// buffer from the entry.
+fn journal_entry_in_bounds(e: &IndexEntry, segment_len: u64) -> bool {
+    e.tier <= MAX_TIER
+        && e.payload_len <= MAX_PAYLOAD
+        && e.clock_start <= e.clock_end
+        && e.offset
+            .checked_add(e.envelope_len())
+            .is_some_and(|end| end <= segment_len)
 }
 
 fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
@@ -674,20 +690,30 @@ impl Historian {
         fs::create_dir_all(&dir)?;
         let mut report = RecoveryReport::default();
 
-        // Journal replay: valid prefix only.
+        let seg_files = list_segments(&dir)?;
+        let seg_lens = seg_files
+            .iter()
+            .map(|(&id, path)| Ok((id, fs::metadata(path)?.len())))
+            .collect::<io::Result<BTreeMap<u64, u64>>>()?;
+        let seg_len = |id| seg_lens.get(&id).copied().unwrap_or(0);
+
+        // Journal replay: valid prefix only. A record entry out of the
+        // envelope bounds ends it as a CRC failure does, so the segments
+        // it would have vouched for are re-scanned.
         let mut journal_records: Vec<IndexEntry> = Vec::new();
         let mut sealed: Vec<u64> = Vec::new();
         if let Ok(bytes) = fs::read(journal_path(&dir)) {
             for chunk in bytes.chunks(JOURNAL_ENTRY_LEN) {
                 match parse_journal_entry(chunk) {
-                    Some((0, e)) => journal_records.push(e),
+                    Some((0, e)) if journal_entry_in_bounds(&e, seg_len(e.segment)) => {
+                        journal_records.push(e)
+                    }
                     Some((1, e)) => sealed.push(e.segment),
                     _ => break, // torn or corrupt tail: rebuilt below
                 }
             }
         }
 
-        let seg_files = list_segments(&dir)?;
         let mut entries: Vec<IndexEntry> = Vec::new();
         let mut sealed_bytes = 0u64;
         let trunc_counter = telemetry.counter(names::HISTORIAN_RECOVERY_TRUNCATIONS);
@@ -695,7 +721,7 @@ impl Historian {
         let mut last_sealed = false;
         for (&id, path) in &seg_files {
             let is_last = Some(&id) == seg_files.keys().last();
-            let file_len = fs::metadata(path)?.len();
+            let file_len = seg_len(id);
             if sealed.contains(&id) {
                 // Journal-sealed: trust its entries without re-reading
                 // payload bytes (the footer was fsynced before the
@@ -818,6 +844,8 @@ impl Historian {
                 names::HISTORIAN_FSYNC_S,
                 &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0],
             ),
+            append_span: telemetry.span(names::SPAN_STORE_APPEND),
+            read_range_span: telemetry.span(names::SPAN_STORE_READ_RANGE),
             dir,
         };
         shared.segments_gauge.set(segments as f64);
@@ -900,6 +928,7 @@ impl Historian {
                 format!("tier {tier} out of range"),
             ));
         }
+        let span = self.shared.append_span.start();
         let mut payload = Vec::with_capacity(raw.len() * 16 + 64);
         write_record_parts(sample_rate_hz, clock_start, raw, calibrated, &mut payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -972,6 +1001,7 @@ impl Historian {
             let at = entries.partition_point(|e| e.key() <= entry.key());
             entries.insert(at, entry);
         }
+        span.finish();
         self.shared.appends.inc();
         self.shared.append_bytes.add(env.len() as u64);
         self.shared
@@ -1360,6 +1390,7 @@ impl HistorianReader {
         to: u64,
         max_points: usize,
     ) -> io::Result<RangedWave> {
+        let _span = self.shared.read_range_span.start();
         let max_points = max_points.max(1);
         let span = to.saturating_sub(from).max(1);
         let snap = self.snapshot();
@@ -1526,6 +1557,127 @@ mod tests {
             }
             let streamed = scan_segment(0, &mut io::Cursor::new(&bytes)).unwrap();
             prop_assert_eq!(streamed, scan_segment_slice(0, &bytes));
+        }
+    }
+
+    /// A store of several segments, all but the last journal-sealed,
+    /// holding tier-0 and tier-1 records, as its files lie on disk after
+    /// the writer dropped it, plus every record's points read back
+    /// before the drop.
+    #[allow(clippy::type_complexity)]
+    fn journaled_store() -> &'static (Vec<(String, Vec<u8>)>, Vec<(IndexEntry, Vec<WavePoint>)>) {
+        static STORE: OnceLock<(Vec<(String, Vec<u8>)>, Vec<(IndexEntry, Vec<WavePoint>)>)> =
+            OnceLock::new();
+        STORE.get_or_init(|| {
+            let dir = scratch_dir("store-journal-oracle");
+            let (h, _) = Historian::open(&dir, journal_config(), &Telemetry::disabled()).unwrap();
+            for k in 0..12u64 {
+                let (raw, cal) = lanes(256, k as f64);
+                h.append(1 + k % 2, 1, k / 2 * 256, 1000.0, &raw, &cal)
+                    .unwrap();
+            }
+            h.compact().unwrap();
+            let r = h.reader();
+            let acked = h
+                .snapshot()
+                .entries()
+                .iter()
+                .map(|e| {
+                    let wave = r
+                        .read_tier(e.device, e.session, e.tier, e.clock_start, e.clock_end)
+                        .unwrap();
+                    (*e, wave.points)
+                })
+                .collect();
+            drop((r, h));
+            assert!(list_segments(&dir).unwrap().len() >= 3, "no roll happened");
+            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|f| {
+                    let f = f.unwrap();
+                    let name = f.file_name().into_string().unwrap();
+                    (name, fs::read(f.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            fs::remove_dir_all(&dir).ok();
+            (files, acked)
+        })
+    }
+
+    fn journal_config() -> StoreConfig {
+        StoreConfig {
+            segment_bytes: 12 * 1024,
+            tier_block: 256,
+            ..StoreConfig::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A real store's journal with one record entry forged out of
+        /// the envelope bounds (CRC recomputed, so only the replay gate
+        /// can refuse it), truncated at any byte, or with garbage
+        /// appended: open recovers every acknowledged record
+        /// bit-identical, and no index entry escapes the bounds.
+        #[test]
+        fn journal_replay_trusts_only_in_bounds_entries(
+            mutation in 0usize..7,
+            at in any::<u64>(),
+            garbage in prop::collection::vec(0u8..=255, 1..256),
+        ) {
+            let (files, acked) = journaled_store();
+            let dir = scratch_dir("store-journal");
+            for (name, bytes) in files {
+                let mut bytes = bytes.clone();
+                if name == "index.jnl" {
+                    let records: Vec<usize> = (0..bytes.len() / JOURNAL_ENTRY_LEN)
+                        .filter(|i| bytes[i * JOURNAL_ENTRY_LEN + 4] == 0)
+                        .collect();
+                    let i = records[(at % records.len() as u64) as usize] * JOURNAL_ENTRY_LEN;
+                    let (_, mut e) = parse_journal_entry(&bytes[i..]).unwrap();
+                    let seg_len = files
+                        .iter()
+                        .find(|(n, _)| *n == format!("seg-{:08}.tseg", e.segment))
+                        .map_or(0, |(_, b)| b.len() as u64);
+                    match mutation {
+                        0 => e.tier = MAX_TIER + 1 + (at % u64::from(255 - MAX_TIER)) as u8,
+                        1 => e.payload_len = [MAX_PAYLOAD + 1, u32::MAX][(at % 2) as usize],
+                        2 => e.payload_len = seg_len as u32,
+                        3 => e.clock_start = e.clock_end + 1 + at % 1000,
+                        4 => {
+                            e.offset = [seg_len - e.envelope_len() + 1, u64::MAX - at % 64]
+                                [(at % 2) as usize]
+                        }
+                        5 => bytes.truncate((at % (bytes.len() as u64 + 1)) as usize),
+                        _ => bytes.extend_from_slice(&garbage),
+                    }
+                    if mutation < 5 {
+                        bytes[i..i + JOURNAL_ENTRY_LEN].copy_from_slice(&encode_journal_entry(0, &e));
+                    }
+                }
+                fs::write(dir.join(name), &bytes).unwrap();
+            }
+            let (h, _) = Historian::open(&dir, journal_config(), &Telemetry::disabled()).unwrap();
+            let snap = h.snapshot();
+            for e in snap.entries() {
+                let seg_len = fs::metadata(seg_path(&dir, e.segment)).unwrap().len();
+                prop_assert!(journal_entry_in_bounds(e, seg_len), "{:?}", e);
+            }
+            prop_assert_eq!(snap.len(), acked.len());
+            let r = h.reader();
+            for (e, points) in acked {
+                let wave = r
+                    .read_tier(e.device, e.session, e.tier, e.clock_start, e.clock_end)
+                    .unwrap();
+                let bits = |p: &[WavePoint]| -> Vec<(u64, u64, u64)> {
+                    p.iter().map(|w| (w.clock, w.raw.to_bits(), w.mmhg.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&wave.points), bits(points), "{:?}", e);
+            }
+            drop((r, h));
+            fs::remove_dir_all(&dir).ok();
         }
     }
 

@@ -87,6 +87,19 @@ fn historian_counters_reach_metrics_and_the_flight_recorder() {
         body.contains("tonos_historian_fsync_s_bucket"),
         "fsync histogram missing"
     );
+    // The store row of the ledger: append and ranged-read spans, each
+    // counting what the workload did.
+    for (span, at_least) in [
+        ("tonos_span_store_append_s_count", 20.0),
+        ("tonos_span_store_read_range_s_count", 1.0),
+    ] {
+        let line = body
+            .lines()
+            .find(|l| l.starts_with(span))
+            .unwrap_or_else(|| panic!("{span} missing from /metrics:\n{body}"));
+        let value: f64 = line.split_whitespace().last().unwrap().parse().unwrap();
+        assert!(value >= at_least, "{span} counted too few: {line}");
+    }
 
     // The flight recorder captured the same series by name.
     let rec = recorder.lock().unwrap();

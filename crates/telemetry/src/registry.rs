@@ -189,6 +189,12 @@ pub mod names {
     /// fsync latency of historian record/seal flushes, seconds
     /// (histogram).
     pub const HISTORIAN_FSYNC_S: &str = "historian.fsync_s";
+    /// Historian record append, from encoding the record to publishing
+    /// its index entry (span histogram, seconds).
+    pub const SPAN_STORE_APPEND: &str = "span.store.append_s";
+    /// Historian ranged waveform read, tier pick to the last point
+    /// (span histogram, seconds).
+    pub const SPAN_STORE_READ_RANGE: &str = "span.store.read_range_s";
     /// Measurement sessions created via `prepare` (counter).
     pub const HISTORIAN_SESSIONS_PREPARED: &str = "historian.sessions_prepared";
     /// Measurement sessions moved to `measuring` via `start` (counter).
